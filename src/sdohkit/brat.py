@@ -172,8 +172,13 @@ def export_brat_dir(corpus: Corpus, dirpath) -> None:
     """Write <doc_id>.txt/.ann pairs plus a metadata sidecar.
 
     The sidecar preserves patient ids, note dates, annotator ids, and split
-    assignments, which the standoff files themselves cannot carry.
+    assignments, which the standoff files themselves cannot carry. Every
+    document is checked before anything is written.
     """
+    for adoc in corpus.docs:
+        problems = document_violations(adoc)
+        if problems:
+            raise AnnFormatError(f"{adoc.doc_id}: " + "; ".join(problems))
     os.makedirs(dirpath, exist_ok=True)
     meta_lines = []
     for adoc in corpus.docs:

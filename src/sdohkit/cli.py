@@ -22,9 +22,11 @@ from datetime import datetime, timezone
 from . import __version__
 from .brat import AnnFormatError, export_brat_dir, import_brat_dir
 from .corpus import (
+    AnnotatedDocument,
     CorpusError,
     Corpus,
     Document,
+    _doc_to_obj,
     dedup_per_patient,
     extract_sections,
     read_corpus_jsonl,
@@ -164,7 +166,7 @@ def cmd_sections(args) -> int:
             social_rules = [ln for ln in f.read().splitlines() if ln.strip()]
 
     n_in = n_match = 0
-    out_lines = []
+    out_objs = []
     with open(args.notes, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
@@ -182,41 +184,29 @@ def cmd_sections(args) -> int:
                 if social is None or not social.body.strip():
                     continue
                 n_match += 1
-                out_lines.append(
-                    json.dumps(
-                        {
-                            "doc_id": obj["doc_id"],
-                            "patient_id": obj.get("patient_id", obj["doc_id"]),
-                            "note_date": obj.get("note_date"),
-                            "text": social.body,
-                            "annotator_id": None,
-                            "events": [],
-                        },
-                        ensure_ascii=False,
-                        separators=(",", ":"),
-                    )
+                doc = Document(
+                    obj["doc_id"], obj.get("patient_id", obj["doc_id"]), social.body,
+                    obj.get("note_date"),
                 )
+                out_objs.append(_doc_to_obj(AnnotatedDocument(doc), None))
             else:
                 if social is not None:
                     n_match += 1
-                out_lines.append(
-                    json.dumps(
-                        {
-                            "doc_id": obj["doc_id"],
-                            "sections": [
-                                {"heading": s.heading, "start": s.start, "end": s.end, "body": s.body}
-                                for s in sections
-                            ],
-                            "social_history_heading": social.heading if social else None,
-                        },
-                        ensure_ascii=False,
-                        separators=(",", ":"),
-                    )
+                out_objs.append(
+                    {
+                        "doc_id": obj["doc_id"],
+                        "sections": [
+                            {"heading": s.heading, "start": s.start, "end": s.end, "body": s.body}
+                            for s in sections
+                        ],
+                        "social_history_heading": social.heading if social else None,
+                    }
                 )
                 if args.unsafe_show_text and social is not None:
                     print(f"{obj['doc_id']}: {social.heading}")
     with open(args.out, "w", encoding="utf-8") as f:
-        f.write("".join(ln + "\n" for ln in out_lines))
+        for out in out_objs:
+            f.write(json.dumps(out, ensure_ascii=False, separators=(",", ":")) + "\n")
     print(f"processed {n_in} notes, {n_match} with a social-history section")
     _write_manifest("sections", args, [args.notes, args.heading_rules, args.social_rules], [args.out])
     return 0

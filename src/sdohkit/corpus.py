@@ -42,9 +42,6 @@ class TextSpan:
     end: int
     text: str
 
-    def overlaps(self, other: "TextSpan") -> bool:
-        return self.start < other.end and other.start < self.end
-
     def overlap_len(self, other: "TextSpan") -> int:
         return max(0, min(self.end, other.end) - max(self.start, other.start))
 
@@ -108,11 +105,15 @@ SPLIT_NAMES = ("train", "validation", "test")
 def document_violations(adoc: AnnotatedDocument, schema: Schema | None = None) -> list[str]:
     """Structural invariant check for one annotated document.
 
-    Verifies trigger bounds, surface-text agreement with the document, and
-    the one-event-per-(type, span) constraint; optionally also runs schema
+    Verifies that the doc_id can name a file inside a directory, trigger
+    bounds, surface-text agreement with the document, and the
+    one-event-per-(type, span) constraint; optionally also runs schema
     validation on each event.
     """
     out: list[str] = []
+    doc_id = adoc.document.doc_id
+    if doc_id in (".", "..") or any(c in doc_id for c in "/\\\0"):
+        out.append(f"doc_id {doc_id!r} cannot name a file inside a directory")
     text = adoc.document.text
     if not text:
         out.append("document text is empty")
@@ -198,6 +199,13 @@ def select_social_history(
     return None
 
 
+def _subset(corpus: Corpus, keep_ids: set[str]) -> Corpus:
+    """The kept documents, in corpus order, with their split assignments."""
+    docs = [d for d in corpus.docs if d.doc_id in keep_ids]
+    assignment = {k: v for k, v in corpus.split_assignment.items() if k in keep_ids}
+    return Corpus(docs, assignment)
+
+
 def dedup_per_patient(corpus: Corpus, seed: int) -> Corpus:
     """Keep exactly one document per patient, chosen uniformly per seed."""
     by_patient: dict[str, list[AnnotatedDocument]] = {}
@@ -208,9 +216,7 @@ def dedup_per_patient(corpus: Corpus, seed: int) -> Corpus:
     for patient_id in sorted(by_patient):
         docs = sorted(by_patient[patient_id], key=lambda d: d.doc_id)
         keep_ids.add(rng.choice(docs).doc_id)
-    docs = [d for d in corpus.docs if d.doc_id in keep_ids]
-    assignment = {k: v for k, v in corpus.split_assignment.items() if k in keep_ids}
-    return Corpus(docs, assignment)
+    return _subset(corpus, keep_ids)
 
 
 def sample_corpus(corpus: Corpus, n: int, seed: int) -> Corpus:
@@ -218,10 +224,7 @@ def sample_corpus(corpus: Corpus, n: int, seed: int) -> Corpus:
     if n > len(corpus.docs):
         raise CorpusError(f"cannot sample {n} documents from a corpus of {len(corpus.docs)}")
     rng = random.Random(f"sample:{seed}")
-    chosen = set(rng.sample(sorted(d.doc_id for d in corpus.docs), n))
-    docs = [d for d in corpus.docs if d.doc_id in chosen]
-    assignment = {k: v for k, v in corpus.split_assignment.items() if k in chosen}
-    return Corpus(docs, assignment)
+    return _subset(corpus, set(rng.sample(sorted(d.doc_id for d in corpus.docs), n)))
 
 
 def split_corpus(corpus: Corpus, sizes: tuple[int, int, int], seed: int) -> Corpus:
@@ -313,8 +316,8 @@ def _parse_doc_obj(obj: dict, lineno: int) -> tuple[AnnotatedDocument, str | Non
         trig = e.get("trigger")
         if (
             not isinstance(trig, dict)
-            or not isinstance(trig.get("start"), int)
-            or not isinstance(trig.get("end"), int)
+            or type(trig.get("start")) is not int
+            or type(trig.get("end")) is not int
             or not isinstance(trig.get("text"), str)
         ):
             fail(f"event {j}: trigger must have int start/end and string text")

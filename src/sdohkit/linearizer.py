@@ -90,6 +90,12 @@ class ParseOutcome:
     repaired_count: int = 0
 
 
+def is_none_answer(output: str) -> bool:
+    """True for an empty answer or NONE (any case, trailing periods allowed)."""
+    text = output.strip()
+    return not text or text.rstrip(".").strip().upper() == "NONE"
+
+
 def ground_span(
     trigger_text: str,
     doc_text: str,
@@ -125,13 +131,12 @@ def parse_events(
 ) -> ParseOutcome:
     """Parse a model's linearized output back into grounded events."""
     outcome = ParseOutcome()
-    text = output.strip()
-    if not text or text.rstrip(".").strip().upper() == "NONE":
+    if is_none_answer(output):
         return outcome
 
     claimed: dict[str, set[int]] = {}
     seen_spans: set[tuple[str, int, int]] = set()
-    for fragment in text.split(" AND "):
+    for fragment in output.strip().split(" AND "):
         fragment = fragment.strip()
         if not fragment:
             outcome.invalid_records.append(InvalidRecord(fragment, "format", "trigger", "empty fragment"))
@@ -344,28 +349,3 @@ def repair_span(claimed: str, doc_text: str, max_norm_dist: float = 0.2) -> Text
         ties, key=lambda t: (-word_aligned(*t), t[0], abs(t[1] - L), t[1])
     )
     return TextSpan(start, start + length, doc_text[start : start + length])
-
-
-def invalid_rate(outcomes: list[ParseOutcome]) -> dict:
-    """Invalid-output rates per level and reason across parse outcomes.
-
-    A level's total is its valid item count (events, or argument clauses on
-    returned events) plus its invalid records; rate is invalid / total.
-    """
-    report = {}
-    for level, valid in (
-        ("trigger", sum(len(o.events) for o in outcomes)),
-        ("argument", sum(len(e.arguments) for o in outcomes for e in o.events)),
-    ):
-        records = [r for o in outcomes for r in o.invalid_records if r.level == level]
-        by_reason: dict[str, int] = {}
-        for r in records:
-            by_reason[r.reason] = by_reason.get(r.reason, 0) + 1
-        total = valid + len(records)
-        report[level] = {
-            "total": total,
-            "invalid": len(records),
-            "rate": len(records) / total if total else 0.0,
-            "by_reason": dict(sorted(by_reason.items())),
-        }
-    return report

@@ -6,9 +6,8 @@ endpoint, retries transient failures (timeouts, 429, 5xx) with exponential
 backoff, and bounds in-flight requests per client with a semaphore. The API
 key comes from an environment variable only.
 
-Privacy posture: neither prompts nor completions are written to logs unless
-``ClientConfig.unsafe_log_text`` is set; default logging carries metadata
-(status, latency, retry counts) only.
+Privacy posture: prompts and completions are never written to logs; logging
+carries metadata (status, latency, retry counts) only.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ class ClientConfig:
     max_retries: int = 3
     max_concurrent: int = 4
     backoff_base: float = 0.5
-    unsafe_log_text: bool = False
 
     def __post_init__(self):
         if self.max_retries < 0:
@@ -110,7 +108,10 @@ def _default_transport(url: str, headers: dict, body: dict, timeout: float):
         raise TransportError(f"request failed: {type(exc).__name__}") from exc
     if resp.status_code != 200:
         raise TransportError(f"endpoint returned {resp.status_code}", status=resp.status_code)
-    return resp.json()
+    try:
+        return resp.json()
+    except ValueError as exc:
+        raise TransportError("endpoint returned a body that is not JSON", status=200) from exc
 
 
 class HttpChatClient:
@@ -175,16 +176,13 @@ class HttpChatClient:
         except (KeyError, IndexError, TypeError) as exc:
             raise TransportError("response missing choices[0].message.content") from exc
         usage = payload.get("usage") or {}
+        if not isinstance(usage, dict):
+            raise TransportError("response usage is not an object")
+        tokens = [usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)]
+        if not all(type(t) is int for t in tokens):
+            raise TransportError("response token counts are not integers")
         logger.debug("completion ok latency_ms=%.0f retries=%d", latency, attempt)
-        if self.config.unsafe_log_text:
-            logger.debug("completion text: %s", text)
-        return Completion(
-            text,
-            int(usage.get("prompt_tokens", 0)),
-            int(usage.get("completion_tokens", 0)),
-            latency,
-            attempt,
-        )
+        return Completion(text, *tokens, latency, attempt)
 
 
 class ScriptedMockClient:
@@ -212,12 +210,3 @@ class ScriptedMockClient:
         with self._lock:
             self.transcript.append((fp, text))
         return Completion(text)
-
-
-class EchoClient:
-    """Returns the last user message verbatim; handy in smoke tests."""
-
-    def complete(self, messages: list[ChatMessage]) -> Completion:
-        _check_messages(messages)
-        users = [m for m in messages if m.role == "user"]
-        return Completion(users[-1].content if users else messages[-1].content)

@@ -28,12 +28,21 @@ import re
 from dataclasses import dataclass, field
 
 from .corpus import AnnotatedDocument, Corpus, Document, Event, TextSpan
-from .linearizer import InvalidRecord, ground_span, parse_events, serialize_events
+from .linearizer import InvalidRecord, ground_span, is_none_answer, parse_events, serialize_events
 from .llm import ChatMessage, Completion, TransportError
 from .schema import ArgumentDef, Schema
 
-STRATEGIES = ("event", "2sqa-base", "2sqa-guide", "2sqa-guide3shot")
-MODES = ("base", "guide", "guide+3shot")
+# The prompt mode of each strategy; the single-step "event" strategy has none.
+# Every mode but "base" carries guide text, and "guide+3shot" also carries
+# three few-shot examples.
+STRATEGY_MODE = {
+    "event": None,
+    "2sqa-base": "base",
+    "2sqa-guide": "guide",
+    "2sqa-guide3shot": "guide+3shot",
+}
+STRATEGIES = tuple(STRATEGY_MODE)
+MODES = tuple(mode for mode in STRATEGY_MODE.values() if mode)
 
 
 class PromptError(ValueError):
@@ -109,14 +118,16 @@ _ARGUMENT_TASK = (
 )
 
 
+def _event_header(schema: Schema) -> str:
+    return _EVENT_TASK + "\n\nEvent types and their arguments:\n" + schema_inventory(schema)
+
+
 def build_event_prompt(doc, schema: Schema, example_doc: AnnotatedDocument) -> PromptBundle:
     """Single-step prompt: full inventory, one worked example, then the note."""
     if not example_doc.events:
         raise PromptError("example document must contain at least one event")
     system = (
-        _EVENT_TASK
-        + "\n\nEvent types and their arguments:\n"
-        + schema_inventory(schema)
+        _event_header(schema)
         + "\n\nExample note:\n"
         + example_doc.document.text
         + "\n\nExample output:\n"
@@ -126,6 +137,25 @@ def build_event_prompt(doc, schema: Schema, example_doc: AnnotatedDocument) -> P
     return PromptBundle(
         [ChatMessage("system", system), ChatMessage("user", user)], "event-extraction"
     )
+
+
+def _step_preamble(
+    task: str, mode: str, guide_topic: str, guide_text: str | None, fewshot: FewShotSet | None
+) -> tuple[list[ChatMessage], list[FewShotExample]]:
+    """Check a step prompt's inputs against its mode; return the system
+    message and the few-shot examples the mode uses."""
+    if mode not in MODES:
+        raise PromptError(f"unknown mode {mode!r}")
+    system = task
+    if mode != "base":
+        if not guide_text:
+            raise PromptError(f"mode {mode!r} requires guide text")
+        system += f"\n\nGuideline for {guide_topic}:\n{guide_text}"
+    if mode != "guide+3shot":
+        return [ChatMessage("system", system)], []
+    if fewshot is None or len(fewshot.examples) != 3:
+        raise PromptError("mode 'guide+3shot' requires a few-shot set of size 3")
+    return [ChatMessage("system", system)], fewshot.examples
 
 
 def _trigger_user_message(event_type: str, text: str) -> str:
@@ -140,20 +170,10 @@ def build_trigger_prompt(
     fewshot: FewShotSet | None = None,
 ) -> PromptBundle:
     """Step-one prompt asking for the trigger spans of one event type."""
-    if mode not in MODES:
-        raise PromptError(f"unknown mode {mode!r}")
-    system = _TRIGGER_TASK
-    if mode in ("guide", "guide+3shot"):
-        if not guide_text:
-            raise PromptError(f"mode {mode!r} requires guide text")
-        system += f"\n\nGuideline for {event_type}:\n{guide_text}"
-    messages = [ChatMessage("system", system)]
-    if mode == "guide+3shot":
-        if fewshot is None or len(fewshot.examples) != 3:
-            raise PromptError("mode 'guide+3shot' requires a few-shot set of size 3")
-        for ex in fewshot.examples:
-            messages.append(ChatMessage("user", _trigger_user_message(event_type, ex.text)))
-            messages.append(ChatMessage("assistant", ex.answer))
+    messages, shots = _step_preamble(_TRIGGER_TASK, mode, event_type, guide_text, fewshot)
+    for ex in shots:
+        messages.append(ChatMessage("user", _trigger_user_message(event_type, ex.text)))
+        messages.append(ChatMessage("assistant", ex.answer))
     messages.append(ChatMessage("user", _trigger_user_message(event_type, _text_of(doc))))
     return PromptBundle(messages, "trigger-step", target=event_type)
 
@@ -185,33 +205,25 @@ def build_argument_prompt(
     Options are the argument's subtypes in schema order, with "none"
     appended exactly when the argument is optional.
     """
-    if mode not in MODES:
-        raise PromptError(f"unknown mode {mode!r}")
+    messages, shots = _step_preamble(
+        _ARGUMENT_TASK, mode, f"{event_type}.{argument.name}", guide_text, fewshot
+    )
     et = schema.event_type(event_type)
     if et is None or et.argument(argument.name) != argument:
         raise PromptError(f"argument {argument.name!r} does not belong to {event_type!r}")
     options = list(argument.subtypes)
     if not argument.required and "none" not in options:
         options.append("none")
-    system = _ARGUMENT_TASK
-    if mode in ("guide", "guide+3shot"):
-        if not guide_text:
-            raise PromptError(f"mode {mode!r} requires guide text")
-        system += f"\n\nGuideline for {event_type}.{argument.name}:\n{guide_text}"
-    messages = [ChatMessage("system", system)]
-    if mode == "guide+3shot":
-        if fewshot is None or len(fewshot.examples) != 3:
-            raise PromptError("mode 'guide+3shot' requires a few-shot set of size 3")
-        for ex in fewshot.examples:
-            if ex.trigger is None:
-                raise PromptError("argument few-shot examples must carry a trigger")
-            messages.append(
-                ChatMessage(
-                    "user",
-                    _argument_user_message(event_type, argument.name, ex.trigger, options, ex.text),
-                )
+    for ex in shots:
+        if ex.trigger is None:
+            raise PromptError("argument few-shot examples must carry a trigger")
+        messages.append(
+            ChatMessage(
+                "user",
+                _argument_user_message(event_type, argument.name, ex.trigger, options, ex.text),
             )
-            messages.append(ChatMessage("assistant", ex.answer))
+        )
+        messages.append(ChatMessage("assistant", ex.answer))
     messages.append(
         ChatMessage(
             "user", _argument_user_message(event_type, argument.name, trigger, options, _text_of(doc))
@@ -236,24 +248,25 @@ def _strip_quotes(s: str) -> str:
 
 def parse_trigger_response(
     response: str, doc_text: str, repair: bool = True, max_norm_dist: float = 0.2
-) -> tuple[list[TextSpan], list[InvalidRecord]]:
+) -> tuple[list[TextSpan], list[InvalidRecord], int]:
     """Ground a one-trigger-per-line response; NONE means no triggers.
 
-    Lines that cannot be grounded (even with repair, when enabled) are
-    returned as invalid records. Duplicate grounded spans are merged.
+    Returns (triggers, invalid records, number of triggers found by span
+    repair). Lines that cannot be grounded (even with repair, when enabled)
+    are returned as invalid records. Duplicate grounded spans are merged.
     """
-    text = response.strip()
-    if not text or text.rstrip(".").strip().upper() == "NONE":
-        return [], []
+    if is_none_answer(response):
+        return [], [], 0
     triggers: list[TextSpan] = []
     records: list[InvalidRecord] = []
+    n_repaired = 0
     claimed: set[int] = set()
     seen: set[tuple[int, int]] = set()
-    for raw_line in text.splitlines():
+    for raw_line in response.strip().splitlines():
         line = _strip_quotes(_BULLET_RE.sub("", raw_line.strip()))
         if not line:
             continue
-        span, _ = ground_span(line, doc_text, claimed, repair, max_norm_dist)
+        span, repaired = ground_span(line, doc_text, claimed, repair, max_norm_dist)
         if span is None:
             records.append(InvalidRecord(raw_line, "span-not-found", "trigger", line))
             continue
@@ -262,7 +275,8 @@ def parse_trigger_response(
         seen.add((span.start, span.end))
         claimed.add(span.start)
         triggers.append(span)
-    return triggers, records
+        n_repaired += repaired
+    return triggers, records, n_repaired
 
 
 def parse_argument_response(response: str, options: list[str]) -> str | None:
@@ -526,13 +540,6 @@ class NonsenseClient:
 
 # --- pipeline -------------------------------------------------------------------
 
-_STRATEGY_MODE = {
-    "2sqa-base": "base",
-    "2sqa-guide": "guide",
-    "2sqa-guide3shot": "guide+3shot",
-}
-
-
 @dataclass
 class RunMetrics:
     strategy: str
@@ -581,13 +588,10 @@ class RunMetrics:
         }
 
 
-def _count_reasons(metrics_dict: dict[str, int], records: list[InvalidRecord], level: str) -> int:
-    n = 0
+def _count_reasons(metrics_dict: dict[str, int], records: list[InvalidRecord], level: str) -> None:
     for r in records:
         if r.level == level:
             metrics_dict[r.reason] = metrics_dict.get(r.reason, 0) + 1
-            n += 1
-    return n
 
 
 def run_pipeline(
@@ -608,19 +612,18 @@ def run_pipeline(
     resampled per query with randomness derived from (seed, doc_id, target),
     so runs are deterministic for a deterministic client.
     """
-    if strategy not in STRATEGIES:
+    if strategy not in STRATEGY_MODE:
         raise ValueError(f"unknown strategy {strategy!r}")
-    mode = _STRATEGY_MODE.get(strategy)
-    needs_train = strategy in ("event", "2sqa-guide3shot")
-    if needs_train and train is None:
+    mode = STRATEGY_MODE[strategy]
+    if mode in (None, "guide+3shot") and train is None:
         raise PromptError(f"strategy {strategy!r} requires a train corpus")
-    if mode in ("guide", "guide+3shot"):
+    if mode not in (None, "base"):
         missing = check_guide_coverage(guide or {}, schema)
         if missing:
             raise PromptError(f"guide file missing entries: {', '.join(missing[:5])}")
 
     example_pool: list[AnnotatedDocument] = []
-    if strategy == "event":
+    if mode is None:
         example_pool = sorted(
             (d for d in train.docs if d.events), key=lambda d: d.doc_id
         )
@@ -639,7 +642,7 @@ def run_pipeline(
     for adoc in corpus.docs:
         doc = adoc.document
         try:
-            if strategy == "event":
+            if mode is None:
                 events = _run_event_doc(doc, schema, call, metrics, example_pool, seed, repair)
             else:
                 events = _run_2sqa_doc(
@@ -674,11 +677,12 @@ def _run_2sqa_doc(doc, schema, call, metrics, mode, guide, train, seed, repair) 
         fewshot = None
         if mode == "guide+3shot":
             fewshot = sample_fewshot(train, et.name, "trigger", f"{seed}:{doc.doc_id}")
-        bundle = build_trigger_prompt(doc, et.name, mode or "base", guide.get(et.name), fewshot)
+        bundle = build_trigger_prompt(doc, et.name, mode, guide.get(et.name), fewshot)
         metrics.queries_step1 += 1
         completion = call(bundle)
-        triggers, records = parse_trigger_response(completion.text, doc.text, repair)
+        triggers, records, n_repaired = parse_trigger_response(completion.text, doc.text, repair)
         metrics.trigger_valid += len(triggers)
+        metrics.repaired_spans += n_repaired
         _count_reasons(metrics.trigger_invalid, records, "trigger")
 
         for trigger in triggers:
@@ -697,7 +701,7 @@ def _run_2sqa_doc(doc, schema, call, metrics, mode, guide, train, seed, repair) 
                     trigger,
                     adef,
                     schema,
-                    mode or "base",
+                    mode,
                     guide.get(f"{et.name}.{adef.name}"),
                     fs,
                 )
@@ -740,13 +744,7 @@ def export_finetune_pairs(corpus: Corpus, schema: Schema, strategy: str) -> list
     if strategy == "event":
         pairs = []
         for adoc in corpus.docs:
-            prompt = (
-                _EVENT_TASK
-                + "\n\nEvent types and their arguments:\n"
-                + schema_inventory(schema)
-                + "\n\nNote:\n"
-                + adoc.document.text
-            )
+            prompt = _event_header(schema) + "\n\nNote:\n" + adoc.document.text
             pairs.append({"input": prompt, "target": serialize_events(adoc.events, schema)})
         return pairs
     if strategy != "2sqa":

@@ -107,15 +107,6 @@ class Schema:
     def event_type_names(self) -> list[str]:
         return [et.name for et in self.event_types]
 
-    @property
-    def report_groups(self) -> list[str]:
-        """Group names in first-appearance order."""
-        out: list[str] = []
-        for et in self.event_types:
-            if et.report_group not in out:
-                out.append(et.report_group)
-        return out
-
 
 def load_schema(source: str) -> Schema:
     """Parse and validate a schema from JSON text.

@@ -47,12 +47,16 @@ class Counts:
         return self.tp + self.fp + self.fn
 
 
-def prf(c: Counts) -> tuple[float, float, float]:
+def precision_recall_f1(tp, fp, fn) -> tuple[float, float, float]:
     """Precision, recall, F1 as fractions; zero denominators give 0.0."""
-    p = c.tp / (c.tp + c.fp) if c.tp + c.fp else 0.0
-    r = c.tp / (c.tp + c.fn) if c.tp + c.fn else 0.0
+    p = tp / (tp + fp) if tp + fp else 0.0
+    r = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * p * r / (p + r) if p + r else 0.0
     return p, r, f1
+
+
+def prf(c: Counts) -> tuple[float, float, float]:
+    return precision_recall_f1(c.tp, c.fp, c.fn)
 
 
 @dataclass(frozen=True)
@@ -176,18 +180,6 @@ def _sum_level(per_doc: dict[str, DocCounts], level: str) -> dict:
         for key, c in dc[level].items():
             out[key] = out.get(key, Counts()) + c
     return out
-
-
-def score_triggers(gold: Corpus, pred: Corpus) -> dict[str, Counts]:
-    return _sum_level(corpus_doc_counts(gold, pred), "trigger")
-
-
-def score_arguments(gold: Corpus, pred: Corpus) -> dict[tuple[str, str], Counts]:
-    return _sum_level(corpus_doc_counts(gold, pred), "argument")
-
-
-def score_events(gold: Corpus, pred: Corpus) -> dict[str, Counts]:
-    return _sum_level(corpus_doc_counts(gold, pred), "event")
 
 
 def per_document_counts(
@@ -390,10 +382,3 @@ def compute_iaa(ann_a: Corpus, ann_b: Corpus, schema: Schema | None = None) -> I
 def f1_drop(from_pct: float, to_pct: float) -> float:
     """Drop between two percentage scores, rounded to one decimal place."""
     return round(from_pct - to_pct, 1)
-
-
-def trigger_event_drop(report: ScoreReport) -> float:
-    """Micro-F1 drop from trigger level to event level, in rounded points."""
-    t = round(report.micro["trigger"].f1 * 100, 1)
-    e = round(report.micro["event"].f1 * 100, 1)
-    return f1_drop(t, e)

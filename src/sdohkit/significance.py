@@ -19,13 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus
-from .scoring import per_document_counts
-
-
-def _f1(tp: float, fp: float, fn: float) -> float:
-    p = tp / (tp + fp) if tp + fp else 0.0
-    r = tp / (tp + fn) if tp + fn else 0.0
-    return 2 * p * r / (p + r) if p + r else 0.0
+from .scoring import _key_str, per_document_counts, precision_recall_f1
 
 
 @dataclass(frozen=True)
@@ -72,13 +66,6 @@ def bootstrap_test(
     """
     if n_resamples < 1:
         raise ValueError("n_resamples must be >= 1")
-    ids_a = set(pred_a.doc_ids())
-    ids_b = set(pred_b.doc_ids())
-    gold_ids = set(gold.doc_ids())
-    if not (ids_a <= gold_ids and ids_b <= gold_ids):
-        extra = sorted((ids_a | ids_b) - gold_ids)
-        raise ValueError(f"predictions reference unknown documents: {', '.join(extra[:5])}")
-
     doc_ids, rows_a = per_document_counts(gold, pred_a, level, key)
     _, rows_b = per_document_counts(gold, pred_b, level, key)
     counts_a = np.array([[c.tp, c.fp, c.fn] for c in rows_a], dtype=np.int64)
@@ -87,11 +74,11 @@ def bootstrap_test(
     if n_docs == 0:
         raise ValueError("cannot bootstrap an empty corpus")
 
-    f1_a = _f1(*counts_a.sum(axis=0))
-    f1_b = _f1(*counts_b.sum(axis=0))
+    f1_a = precision_recall_f1(*counts_a.sum(axis=0))[2]
+    f1_b = precision_recall_f1(*counts_b.sum(axis=0))[2]
     delta = f1_a - f1_b
 
-    key_str = f"{key[0]}.{key[1]}" if isinstance(key, tuple) else key
+    key_str = _key_str(key)
     if delta <= 0:
         return BootstrapResult(delta, 1.0, n_resamples, seed, level, key_str, f1_a, f1_b)
 
@@ -100,8 +87,8 @@ def bootstrap_test(
     for child in children:
         rng = np.random.default_rng(child)
         idx = rng.integers(0, n_docs, size=n_docs)
-        da = _f1(*counts_a[idx].sum(axis=0))
-        db = _f1(*counts_b[idx].sum(axis=0))
+        da = precision_recall_f1(*counts_a[idx].sum(axis=0))[2]
+        db = precision_recall_f1(*counts_b[idx].sum(axis=0))[2]
         if da - db > 2 * delta:
             exceed += 1
     p = (exceed + 1) / (n_resamples + 1)

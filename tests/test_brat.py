@@ -1,7 +1,7 @@
 import pytest
 
 from sdohkit.brat import AnnFormatError, export_brat_dir, import_brat_dir, parse_ann, write_ann
-from sdohkit.corpus import Event, TextSpan
+from sdohkit.corpus import AnnotatedDocument, Corpus, Document, Event, TextSpan
 from sdohkit.synth import generate_synthetic
 
 DOC = "Patient    lives with mom and is doing well."
@@ -116,6 +116,17 @@ def test_directory_round_trip(tmp_path, schema):
     assert back.split_assignment == corpus.split_assignment
     assert {d.doc_id: d.document for d in back.docs} == {d.doc_id: d.document for d in corpus.docs}
     assert {d.doc_id: d.events for d in back.docs} == {d.doc_id: d.events for d in corpus.docs}
+
+
+@pytest.mark.parametrize("doc_id", ["../escaped", "sub/escaped", "..", "nul\0"])
+def test_directory_export_rejects_unsafe_doc_ids(tmp_path, doc_id):
+    good = AnnotatedDocument(Document("good", "p", "hello"))
+    bad = AnnotatedDocument(Document(doc_id, "p", "hello"))
+    out = tmp_path / "out"
+    with pytest.raises(AnnFormatError, match="cannot name a file"):
+        export_brat_dir(Corpus([good, bad]), out)
+    # Nothing is written, inside the output directory or beside it.
+    assert not list(tmp_path.rglob("*"))
 
 
 def test_directory_import_without_sidecar(tmp_path):

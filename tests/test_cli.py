@@ -236,6 +236,37 @@ def test_extract_http_client_requires_endpoint(tmp_path, capsys, gold_path):
     assert code == 3
 
 
+def test_extract_http_malformed_replies_fail_documents_not_the_run(
+    tmp_path, capsys, gold_path, monkeypatch
+):
+    import requests
+
+    none_reply = b'{"choices":[{"message":{"content":"NONE"}}]'
+    bodies = iter([b"not json at all", none_reply + b',"usage":"bad"}'])
+
+    def post(url, json, headers, timeout):
+        resp = requests.Response()
+        resp.status_code = 200
+        resp._content = next(bodies, none_reply + b"}")
+        return resp
+
+    monkeypatch.setattr(requests, "post", post)
+    monkeypatch.setenv("SDOHKIT_API_KEY", "k")
+    pred = tmp_path / "pred.jsonl"
+    code, stdout, _ = _run(
+        capsys,
+        "extract", "--corpus", gold_path, "--strategy", "2sqa-base", "--seed", 1,
+        "--client", "http", "--base-url", "http://localhost:9/v1", "--model", "m",
+        "--out", pred,
+    )
+    assert code == 0
+    assert "2 failures" in stdout
+    metrics = json.loads((tmp_path / "pred.jsonl.metrics.json").read_text())
+    gold_ids = read_corpus_jsonl(gold_path).doc_ids()
+    assert metrics["failures"] == gold_ids[:2]
+    assert read_corpus_jsonl(pred).doc_ids() == gold_ids
+
+
 def test_guide_stub_command(tmp_path, capsys):
     out = tmp_path / "guide.txt"
     code, _, _ = _run(capsys, "guide-stub", "--out", out)
@@ -250,6 +281,18 @@ def test_brat_round_trip_commands(tmp_path, capsys, gold_path):
     assert (brat_dir / "manifest.json").exists()
     assert _run(capsys, "brat-import", "--in-dir", brat_dir, "--out", back)[0] == 0
     assert back.read_text() == gold_path.read_text()
+
+
+def test_brat_export_cannot_escape_out_dir(tmp_path, capsys):
+    corpus = tmp_path / "evil.jsonl"
+    corpus.write_text(
+        json.dumps({"doc_id": "../escaped", "patient_id": "p", "text": "hi", "events": []}) + "\n"
+    )
+    out_dir = tmp_path / "a" / "out"
+    code, _, err = _run(capsys, "brat-export", "--corpus", corpus, "--out-dir", out_dir)
+    assert code == 2
+    assert "cannot name a file" in err
+    assert not list(tmp_path.rglob("escaped*"))
 
 
 def test_extract_guide3shot_via_cli(tmp_path, capsys, gold_path):

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -175,6 +176,27 @@ def test_jsonl_loader_rejects_text_mismatch():
     )
     with pytest.raises(CorpusError, match="line 1"):
         corpus_from_jsonl(line)
+
+
+def test_jsonl_loader_rejects_bool_offsets():
+    line = (
+        '{"doc_id":"a","patient_id":"p","text":"hi",'
+        '"events":[{"type":"Alcohol","trigger":{"start":false,"end":true,"text":"h"},"args":{}}]}'
+    )
+    with pytest.raises(CorpusError, match="line 1: event 0: trigger must have int start/end"):
+        corpus_from_jsonl(line)
+
+
+@pytest.mark.parametrize("doc_id", ["../escaped", "a/b", "a\\b", "nul\u0000", ".", ".."])
+def test_jsonl_loader_rejects_doc_ids_that_cannot_name_a_file(doc_id):
+    line = json.dumps({"doc_id": doc_id, "patient_id": "p", "text": "hi", "events": []})
+    with pytest.raises(CorpusError, match="cannot name a file"):
+        corpus_from_jsonl(line)
+
+
+def test_jsonl_loader_keeps_dotted_doc_ids():
+    line = json.dumps({"doc_id": "note.v2..final", "patient_id": "p", "text": "hi"})
+    assert corpus_from_jsonl(line).doc_ids() == ["note.v2..final"]
 
 
 def test_jsonl_loader_rejects_bad_date():

@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 
 from sdohkit.corpus import Event, TextSpan
 from sdohkit.linearizer import (
-    ParseOutcome,
-    InvalidRecord,
     SerializeError,
-    invalid_rate,
     parse_events,
     repair_span,
     serialize_events,
 )
+from sdohkit.qa import RunMetrics
 from sdohkit.schema import load_schema
 from sdohkit.synth import generate_synthetic
 
@@ -238,26 +236,29 @@ def test_parse_events_never_raises_on_grammar_soup(s):
     parse_events(s, DOC, MINI)
 
 
+# The invalid-rate block of run metrics.
+
 def test_invalid_rate_empty():
-    assert invalid_rate([])["trigger"]["rate"] == 0.0
+    empty = {"total": 0, "invalid": 0, "rate": 0.0, "by_reason": {}}
+    assert RunMetrics("event", 0).to_obj()["invalid_rates"] == {"trigger": empty, "argument": empty}
 
 
 def test_invalid_rate_partitions():
-    ok = ParseOutcome(events=[_la(8, 13, "lives", Status="current")] * 1)
-    outcomes = []
-    for _ in range(96):
-        outcomes.append(ParseOutcome(events=list(ok.events)))
-    for _ in range(4):
-        outcomes.append(
-            ParseOutcome(invalid_records=[InvalidRecord("junk", "format", "trigger")])
-        )
-    rates = invalid_rate(outcomes)
+    m = RunMetrics(
+        "event", 0, trigger_valid=96, trigger_invalid={"format": 4},
+        argument_valid=96, argument_invalid={"unknown-subtype": 1, "format": 2},
+    )
+    rates = m.to_obj()["invalid_rates"]
     assert rates["trigger"]["total"] == 100
     assert rates["trigger"]["invalid"] == 4
     assert rates["trigger"]["rate"] == pytest.approx(0.04)
     assert rates["trigger"]["by_reason"] == {"format": 4}
+    assert rates["argument"] == {
+        "total": 99, "invalid": 3, "rate": 3 / 99, "by_reason": {"format": 2, "unknown-subtype": 1},
+    }
+    assert list(rates["argument"]["by_reason"]) == ["format", "unknown-subtype"]
 
 
 def test_invalid_rate_all_invalid():
-    outcomes = [ParseOutcome(invalid_records=[InvalidRecord("x", "format", "trigger")])]
-    assert invalid_rate(outcomes)["trigger"]["rate"] == 1.0
+    m = RunMetrics("event", 0, trigger_invalid={"format": 1})
+    assert m.to_obj()["invalid_rates"]["trigger"]["rate"] == 1.0

@@ -7,7 +7,6 @@ from sdohkit.llm import (
     ClientConfig,
     Completion,
     ConfigurationError,
-    EchoClient,
     HttpChatClient,
     ScriptedMockClient,
     TransportError,
@@ -42,11 +41,6 @@ def test_config_invariants():
         _config(max_concurrent=0)
     with pytest.raises(ConfigurationError):
         _config(temperature=-0.5)
-
-
-def test_echo_client():
-    completion = EchoClient().complete([ChatMessage("user", "hi")])
-    assert completion.text == "hi"
 
 
 def test_fingerprint_stability():
@@ -144,6 +138,58 @@ def test_http_client_non_retryable_4xx(monkeypatch):
     with pytest.raises(TransportError):
         client.complete([ChatMessage("user", "q")])
     assert len(attempts) == 1
+
+
+@pytest.mark.parametrize(
+    "usage",
+    [
+        "bad",
+        ["prompt_tokens", 5],
+        {"prompt_tokens": "5"},
+        {"prompt_tokens": 1.5},
+        {"completion_tokens": None},
+        {"prompt_tokens": True},
+    ],
+)
+def test_http_client_malformed_usage_is_transport_error(monkeypatch, usage):
+    monkeypatch.setenv("SDOHKIT_API_KEY", "k")
+    payload = dict(_ok_payload(), usage=usage)
+    client = HttpChatClient(_config(), transport=lambda *a: payload, sleep=lambda s: None)
+    with pytest.raises(TransportError, match="usage|token counts"):
+        client.complete([ChatMessage("user", "q")])
+
+
+@pytest.mark.parametrize(
+    "usage, tokens", [(None, (0, 0)), ({}, (0, 0)), ({"prompt_tokens": 7}, (7, 0))]
+)
+def test_http_client_missing_token_counts_read_as_zero(monkeypatch, usage, tokens):
+    monkeypatch.setenv("SDOHKIT_API_KEY", "k")
+    payload = dict(_ok_payload(), usage=usage)
+    completion = HttpChatClient(_config(), transport=lambda *a: payload).complete(
+        [ChatMessage("user", "q")]
+    )
+    assert (completion.prompt_tokens, completion.completion_tokens) == tokens
+
+
+def test_default_transport_non_json_body_is_transport_error(monkeypatch):
+    import requests
+
+    monkeypatch.setenv("SDOHKIT_API_KEY", "k")
+    posts = []
+
+    def post(url, json, headers, timeout):
+        posts.append(url)
+        resp = requests.Response()
+        resp.status_code = 200
+        resp._content = b"<html>gateway page</html>"
+        return resp
+
+    monkeypatch.setattr(requests, "post", post)
+    client = HttpChatClient(_config(max_retries=3), sleep=lambda s: None)
+    with pytest.raises(TransportError, match="not JSON") as info:
+        client.complete([ChatMessage("user", "q")])
+    assert info.value.status == 200
+    assert len(posts) == 1
 
 
 def test_http_client_missing_api_key(monkeypatch):

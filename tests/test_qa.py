@@ -2,8 +2,10 @@ import pytest
 
 from sdohkit.corpus import AnnotatedDocument, Corpus, Document, Event, TextSpan
 from sdohkit.linearizer import parse_events
+from sdohkit.llm import Completion
 from sdohkit.qa import (
     FewShotError,
+    FewShotSet,
     GoldOracleClient,
     NonsenseClient,
     PromptError,
@@ -99,7 +101,7 @@ def test_trigger_prompt_fewshot_message_count(corpus, train, guide):
 def test_trigger_fewshot_answers_parse_as_trigger_lists(train, guide, corpus):
     fewshot = sample_fewshot(train, "LivingArrangement", "trigger", 3)
     for ex in fewshot.examples:
-        spans, bad = parse_trigger_response(ex.answer, ex.text, repair=False)
+        spans, bad, _ = parse_trigger_response(ex.answer, ex.text, repair=False)
         assert bad == []
     assert fewshot.examples[0].answer == "NONE"
 
@@ -150,6 +152,32 @@ def test_argument_prompt_requires_membership(schema, corpus):
         build_argument_prompt(doc, "LivingArrangement", TextSpan(0, 3, "Pat"), status, schema)
 
 
+def test_step_prompts_reject_inputs_their_mode_needs(schema, corpus, train):
+    doc = corpus.docs[0]
+    status = schema.event_type("Alcohol").argument("Status")
+    trigger = TextSpan(0, 3, doc.document.text[:3])
+    trig_shots = sample_fewshot(train, "Alcohol", "trigger", 1)
+    arg_shots = sample_fewshot(train, ("Alcohol", "Status"), "required-arg", 1)
+    short = FewShotSet(trig_shots.examples[:2], "too-few")
+    builders = [
+        lambda *a: build_trigger_prompt(doc, "Alcohol", *a),
+        lambda *a: build_argument_prompt(doc, "Alcohol", trigger, status, schema, *a),
+    ]
+    for build, shots in zip(builders, (trig_shots, arg_shots)):
+        with pytest.raises(PromptError, match="^unknown mode 'fancy'$"):
+            build("fancy")
+        with pytest.raises(PromptError, match="^mode 'guide' requires guide text$"):
+            build("guide", "")
+        with pytest.raises(PromptError, match="^mode 'guide\\+3shot' requires guide text$"):
+            build("guide+3shot", None, shots)
+        for fewshot in (None, short):
+            with pytest.raises(PromptError, match="few-shot set of size 3$"):
+                build("guide+3shot", "some guide", fewshot)
+        assert len(build("guide+3shot", "some guide", shots).messages) == 8
+        # Base and guide modes ignore a few-shot set.
+        assert len(build("guide", "some guide", shots).messages) == 2
+
+
 def test_argument_prompt_quotes_trigger(schema, corpus):
     doc = _doc_with_events(corpus)
     ev = doc.events[0]
@@ -163,15 +191,16 @@ def test_argument_prompt_quotes_trigger(schema, corpus):
 # --- response parsing ------------------------------------------------------------
 
 def test_parse_trigger_response_none():
-    assert parse_trigger_response("NONE", "whatever") == ([], [])
+    assert parse_trigger_response("NONE", "whatever") == ([], [], 0)
 
 
 def test_parse_trigger_response_lines(corpus):
     doc = _doc_with_events(corpus, 2)
     text = doc.document.text
     lines = "\n".join(e.trigger.text for e in doc.events)
-    spans, bad = parse_trigger_response(lines, text)
+    spans, bad, n_repaired = parse_trigger_response(lines, text)
     assert bad == []
+    assert n_repaired == 0
     assert [ (s.start, s.end) for s in spans ] == [
         (e.trigger.start, e.trigger.end) for e in doc.events
     ]
@@ -180,13 +209,21 @@ def test_parse_trigger_response_lines(corpus):
 def test_parse_trigger_response_bullets_and_quotes(corpus):
     doc = _doc_with_events(corpus)
     t = doc.events[0].trigger
-    spans, bad = parse_trigger_response(f'- "{t.text}"', doc.document.text)
+    spans, bad, _ = parse_trigger_response(f'- "{t.text}"', doc.document.text)
     assert bad == []
     assert spans == [t]
 
 
+def test_parse_trigger_response_counts_repaired_triggers():
+    text = "lives with her mother, drinks wine"
+    spans, bad, n_repaired = parse_trigger_response("LIVES\ndrinks wine", text)
+    assert bad == []
+    assert [(s.start, s.end) for s in spans] == [(0, 5), (23, 34)]
+    assert n_repaired == 1
+
+
 def test_parse_trigger_response_absent_line():
-    spans, bad = parse_trigger_response("not in the doc", "something else", repair=False)
+    spans, bad, _ = parse_trigger_response("not in the doc", "something else", repair=False)
     assert spans == []
     assert bad[0].reason == "span-not-found"
 
@@ -372,6 +409,40 @@ def test_pipeline_transport_failure_recorded(schema, corpus):
     assert metrics.failures == [victim.doc_id]
     assert pred.doc_map[victim.doc_id].events == []
     assert len(pred.docs) == len(corpus.docs)
+
+
+class _UpperCaseTriggers:
+    """Upper-cases the oracle's trigger answers, so that every trigger with
+    a lower-case letter must go through span repair."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+
+    def complete(self, messages):
+        completion = self.oracle.complete(messages)
+        last = messages[-1].content
+        if last.startswith("Event type:") and "\nArgument:" not in last:
+            return Completion(completion.text.upper())
+        return completion
+
+
+@pytest.mark.parametrize("strategy", ["2sqa-base", "2sqa-guide", "2sqa-guide3shot"])
+def test_pipeline_counts_repaired_triggers(schema, corpus, train, guide, strategy):
+    gold = Corpus(corpus.docs[:5])
+    oracle = GoldOracleClient(gold, schema)
+    _, plain = run_pipeline(gold, schema, oracle, strategy, seed=3, train=train, guide=guide)
+    assert plain.repaired_spans == 0
+
+    pred, metrics = run_pipeline(
+        gold, schema, _UpperCaseTriggers(oracle), strategy, seed=3, train=train, guide=guide
+    )
+    n_repairable = sum(
+        e.trigger.text.upper() != e.trigger.text for d in gold.docs for e in d.events
+    )
+    assert n_repairable > 0
+    assert metrics.repaired_spans == n_repairable
+    assert metrics.to_obj()["repaired_spans"] == n_repairable
+    assert score_corpus(gold, pred, schema).micro["event"].f1 == 1.0
 
 
 def test_pipeline_requires_train_when_needed(schema, corpus, guide):

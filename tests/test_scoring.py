@@ -18,8 +18,6 @@ from sdohkit.scoring import (
     render_table,
     score_corpus,
     score_document,
-    score_triggers,
-    trigger_event_drop,
 )
 from sdohkit.synth import generate_synthetic
 
@@ -94,26 +92,32 @@ def test_matching_is_one_to_one():
 
 # --- corpus-level scoring ---------------------------------------------------------
 
+def _trigger_rows(report):
+    return [row.counts for (level, _), row in report.per_key.items() if level == "trigger"]
+
+
 def test_score_triggers_identity(schema):
     corpus = generate_synthetic(schema, 30, 1)
-    counts = score_triggers(corpus, corpus)
-    assert all(c.fp == 0 and c.fn == 0 for c in counts.values())
-    assert sum(c.tp for c in counts.values()) == sum(len(d.events) for d in corpus.docs)
+    report = score_corpus(corpus, corpus)
+    assert all(c.fp == 0 and c.fn == 0 for c in _trigger_rows(report))
+    n_events = sum(len(d.events) for d in corpus.docs)
+    assert report.micro["trigger"].counts == Counts(n_events, 0, 0)
 
 
 def test_score_triggers_empty_pred(schema):
     corpus = generate_synthetic(schema, 20, 2)
     pred = as_pred_corpus(corpus, {})
-    counts = score_triggers(corpus, pred)
-    assert sum(c.tp for c in counts.values()) == 0
-    assert sum(c.fn for c in counts.values()) == sum(len(d.events) for d in corpus.docs)
+    report = score_corpus(corpus, pred)
+    assert all(c.tp == 0 for c in _trigger_rows(report))
+    n_events = sum(len(d.events) for d in corpus.docs)
+    assert report.micro["trigger"].counts == Counts(0, 0, n_events)
 
 
 def test_pred_may_omit_documents(schema):
     corpus = generate_synthetic(schema, 10, 3)
     pred = Corpus(corpus.docs[:5])
-    total = score_triggers(corpus, pred)
-    assert sum(c.tp + c.fn for c in total.values()) == sum(len(d.events) for d in corpus.docs)
+    total = score_corpus(corpus, pred).micro["trigger"].counts
+    assert total.tp + total.fn == sum(len(d.events) for d in corpus.docs)
 
 
 def test_unknown_pred_document_is_error(schema):
@@ -305,14 +309,15 @@ def test_per_document_counts_micro_sums(schema):
     doc_ids, rows = per_document_counts(corpus, pred, "trigger")
     assert doc_ids == sorted(corpus.doc_ids())
     total = sum(rows, Counts())
-    assert total == sum(score_triggers(corpus, pred).values(), Counts())
+    assert total == score_corpus(corpus, pred).micro["trigger"].counts
 
 
 def test_per_document_counts_single_key(schema):
     corpus, pred = _random_instances(schema, 30, 61)
     _, rows = per_document_counts(corpus, pred, "trigger", "Employment")
     total = sum(rows, Counts())
-    assert total == score_triggers(corpus, pred).get("Employment", Counts())
+    row = score_corpus(corpus, pred).per_key.get(("trigger", "Employment"))
+    assert total == (row.counts if row else Counts())
 
 
 # --- IAA ----------------------------------------------------------------------------
@@ -355,12 +360,3 @@ def test_f1_drop_fixtures():
     assert f1_drop(79.6, 71.6) == 8.0
     assert f1_drop(79.5, 70.4) == 9.1
     assert f1_drop(82.3, 54.0) == 28.3
-
-
-def test_trigger_event_drop(schema):
-    corpus, pred = _random_instances(schema, 40, 83)
-    report = score_corpus(corpus, pred, schema)
-    t = round(report.micro["trigger"].f1 * 100, 1)
-    e = round(report.micro["event"].f1 * 100, 1)
-    assert trigger_event_drop(report) == round(t - e, 1)
-    assert trigger_event_drop(report) >= 0
