@@ -12,10 +12,11 @@ parse.
 
 from __future__ import annotations
 
-import json
 import os
+from pathlib import Path
 
-from .corpus import AnnotatedDocument, Corpus, Document, Event, TextSpan, document_violations
+from .corpus import Corpus, CorpusError, Event, TextSpan, doc_to_obj, document_from_obj
+from .corpus import document_violations, jsonl_records, jsonl_text
 from .schema import Schema, validate_event
 
 
@@ -166,58 +167,48 @@ def write_ann(events: list[Event], doc_text: str) -> str:
 # --- directory import/export ------------------------------------------------
 
 _META_FILE = "metadata.jsonl"
+_META_KEYS = ("doc_id", "patient_id", "note_date", "annotator_id", "split")
 
 
 def export_brat_dir(corpus: Corpus, dirpath) -> None:
     """Write <doc_id>.txt/.ann pairs plus a metadata sidecar.
 
     The sidecar preserves patient ids, note dates, annotator ids, and split
-    assignments, which the standoff files themselves cannot carry. Every
-    document is checked before anything is written.
+    assignments, which the standoff files themselves cannot carry; its lines
+    are corpus lines without text and events, with an explicit null split.
+    Every document is checked before anything is written.
     """
     for adoc in corpus.docs:
         problems = document_violations(adoc)
         if problems:
             raise AnnFormatError(f"{adoc.doc_id}: " + "; ".join(problems))
     os.makedirs(dirpath, exist_ok=True)
-    meta_lines = []
+    meta = []
     for adoc in corpus.docs:
         doc = adoc.document
-        with open(os.path.join(dirpath, f"{doc.doc_id}.txt"), "w", encoding="utf-8") as f:
-            f.write(doc.text)
-        with open(os.path.join(dirpath, f"{doc.doc_id}.ann"), "w", encoding="utf-8") as f:
-            f.write(write_ann(adoc.events, doc.text))
-        meta_lines.append(
-            json.dumps(
-                {
-                    "doc_id": doc.doc_id,
-                    "patient_id": doc.patient_id,
-                    "note_date": doc.note_date,
-                    "annotator_id": adoc.annotator_id,
-                    "split": corpus.split_assignment.get(doc.doc_id),
-                },
-                ensure_ascii=False,
-                separators=(",", ":"),
-            )
-        )
-    with open(os.path.join(dirpath, _META_FILE), "w", encoding="utf-8") as f:
-        f.write("".join(line + "\n" for line in meta_lines))
+        Path(dirpath, f"{doc.doc_id}.txt").write_text(doc.text, encoding="utf-8")
+        Path(dirpath, f"{doc.doc_id}.ann").write_text(write_ann(adoc.events, doc.text), encoding="utf-8")
+        obj = doc_to_obj(adoc, corpus.split_assignment.get(doc.doc_id))
+        meta.append({key: obj.get(key) for key in _META_KEYS})
+    Path(dirpath, _META_FILE).write_text(jsonl_text(meta), encoding="utf-8")
 
 
 def import_brat_dir(dirpath, schema: Schema | None = None) -> tuple[Corpus, list[str]]:
     """Read every .txt/.ann pair in a directory back into a corpus.
 
-    Metadata comes from the sidecar when present; otherwise patient ids
-    default to the document id. Returns (corpus, warnings).
+    Metadata comes from the sidecar when present; a document without a
+    sidecar line, or whose line leaves patient_id out, takes its doc_id as
+    patient id. Sidecar lines naming no document in the directory are
+    ignored. Returns (corpus, warnings).
     """
-    meta: dict[str, dict] = {}
-    meta_path = os.path.join(dirpath, _META_FILE)
-    if os.path.exists(meta_path):
-        with open(meta_path, encoding="utf-8") as f:
-            for line in f:
-                if line.strip():
-                    obj = json.loads(line)
-                    meta[obj["doc_id"]] = obj
+    meta: dict[str, tuple[str, dict]] = {}  # doc_id -> (where, sidecar record)
+    meta_path = Path(dirpath, _META_FILE)
+    if meta_path.exists():
+        for where, obj in jsonl_records(meta_path.read_text(encoding="utf-8"), _META_FILE):
+            doc_id = obj.get("doc_id")
+            if not isinstance(doc_id, str) or doc_id in meta:
+                raise CorpusError(f"{where}: need a unique string 'doc_id'")
+            meta[doc_id] = (where, obj)
 
     docs = []
     assignment: dict[str, str] = {}
@@ -225,28 +216,18 @@ def import_brat_dir(dirpath, schema: Schema | None = None) -> tuple[Corpus, list
     names = sorted(n for n in os.listdir(dirpath) if n.endswith(".txt"))
     for name in names:
         doc_id = name[: -len(".txt")]
-        with open(os.path.join(dirpath, name), encoding="utf-8") as f:
-            text = f.read()
-        ann_path = os.path.join(dirpath, doc_id + ".ann")
-        ann_text = ""
-        if os.path.exists(ann_path):
-            with open(ann_path, encoding="utf-8") as f:
-                ann_text = f.read()
+        text = Path(dirpath, name).read_text(encoding="utf-8")
+        ann_path = Path(dirpath, doc_id + ".ann")
+        ann_text = ann_path.read_text(encoding="utf-8") if ann_path.exists() else ""
         try:
             events, warns = parse_ann(ann_text, text, schema)
         except AnnFormatError as exc:
             raise AnnFormatError(f"{doc_id}.ann: {exc}") from exc
         warnings.extend(f"{doc_id}.ann: {w}" for w in warns)
-        m = meta.get(doc_id, {})
-        adoc = AnnotatedDocument(
-            Document(doc_id, m.get("patient_id") or doc_id, text, m.get("note_date")),
-            events,
-            m.get("annotator_id"),
-        )
-        problems = document_violations(adoc)
-        if problems:
-            raise AnnFormatError(f"{doc_id}: " + "; ".join(problems))
+        where, m = meta.get(doc_id, (name, {}))
+        record = {**m, "doc_id": doc_id, "text": text}
+        adoc, split = document_from_obj(record, events, where, default_patient=True)
         docs.append(adoc)
-        if m.get("split"):
-            assignment[doc_id] = m["split"]
+        if split is not None:
+            assignment[doc_id] = split
     return Corpus(docs, assignment), warnings

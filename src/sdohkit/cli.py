@@ -17,7 +17,9 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
+from pathlib import Path
 
 from . import __version__
 from .brat import AnnFormatError, export_brat_dir, import_brat_dir
@@ -25,10 +27,11 @@ from .corpus import (
     AnnotatedDocument,
     CorpusError,
     Corpus,
-    Document,
-    _doc_to_obj,
     dedup_per_patient,
+    doc_to_obj,
     extract_sections,
+    jsonl_documents,
+    jsonl_text,
     read_corpus_jsonl,
     sample_corpus,
     select_social_history,
@@ -155,59 +158,41 @@ def cmd_significance(args) -> int:
     return 0
 
 
-def cmd_sections(args) -> int:
-    heading_rules = None
-    social_rules = None
-    if args.heading_rules:
-        with open(args.heading_rules, encoding="utf-8") as f:
-            heading_rules = [ln for ln in f.read().splitlines() if ln.strip()]
-    if args.social_rules:
-        with open(args.social_rules, encoding="utf-8") as f:
-            social_rules = [ln for ln in f.read().splitlines() if ln.strip()]
+def _read_rules(path: str | None) -> list[str] | None:
+    if not path:
+        return None
+    return [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
 
-    n_in = n_match = 0
+
+def cmd_sections(args) -> int:
+    heading_rules, social_rules = _read_rules(args.heading_rules), _read_rules(args.social_rules)
+
+    notes = list(jsonl_documents(Path(args.notes).read_text(encoding="utf-8"), default_patient=True))
+    n_match = 0
     out_objs = []
-    with open(args.notes, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
+    for adoc, _ in notes:
+        doc = adoc.document
+        sections = extract_sections(doc.text, heading_rules)
+        social = select_social_history(sections, social_rules)
+        if args.emit == "corpus":
+            if social is None or not social.body.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj.get("doc_id"), str) or not isinstance(obj.get("text"), str):
-                raise CorpusError(f"line {lineno}: need string 'doc_id' and 'text'")
-            n_in += 1
-            sections = extract_sections(obj["text"], heading_rules)
-            social = select_social_history(sections, social_rules)
-            if args.emit == "corpus":
-                if social is None or not social.body.strip():
-                    continue
+            n_match += 1
+            out_objs.append(doc_to_obj(AnnotatedDocument(replace(doc, text=social.body)), None))
+        else:
+            if social is not None:
                 n_match += 1
-                doc = Document(
-                    obj["doc_id"], obj.get("patient_id", obj["doc_id"]), social.body,
-                    obj.get("note_date"),
-                )
-                out_objs.append(_doc_to_obj(AnnotatedDocument(doc), None))
-            else:
-                if social is not None:
-                    n_match += 1
-                out_objs.append(
-                    {
-                        "doc_id": obj["doc_id"],
-                        "sections": [
-                            {"heading": s.heading, "start": s.start, "end": s.end, "body": s.body}
-                            for s in sections
-                        ],
-                        "social_history_heading": social.heading if social else None,
-                    }
-                )
-                if args.unsafe_show_text and social is not None:
-                    print(f"{obj['doc_id']}: {social.heading}")
-    with open(args.out, "w", encoding="utf-8") as f:
-        for out in out_objs:
-            f.write(json.dumps(out, ensure_ascii=False, separators=(",", ":")) + "\n")
-    print(f"processed {n_in} notes, {n_match} with a social-history section")
+            out_objs.append(
+                {
+                    "doc_id": doc.doc_id,
+                    "sections": [asdict(s) for s in sections],
+                    "social_history_heading": social.heading if social else None,
+                }
+            )
+            if args.unsafe_show_text and social is not None:
+                print(f"{doc.doc_id}: {social.heading}")
+    Path(args.out).write_text(jsonl_text(out_objs), encoding="utf-8")
+    print(f"processed {len(notes)} notes, {n_match} with a social-history section")
     _write_manifest("sections", args, [args.notes, args.heading_rules, args.social_rules], [args.out])
     return 0
 
@@ -254,9 +239,7 @@ def cmd_export_finetune(args) -> int:
     schema = _load_schema(args.schema)
     corpus = read_corpus_jsonl(args.corpus)
     pairs = export_finetune_pairs(corpus, schema, args.strategy)
-    with open(args.out, "w", encoding="utf-8") as f:
-        for pair in pairs:
-            f.write(json.dumps(pair, ensure_ascii=False, separators=(",", ":")) + "\n")
+    Path(args.out).write_text(jsonl_text(pairs), encoding="utf-8")
     print(f"wrote {len(pairs)} pairs")
     _write_manifest("export-finetune", args, [args.corpus, args.schema], [args.out])
     return 0
@@ -272,6 +255,8 @@ def _build_client(args, corpus, schema):
             raise ConfigurationError("--client script requires --mock-script")
         with open(args.mock_script, encoding="utf-8") as f:
             obj = json.load(f)
+        if not isinstance(obj, dict):
+            return ScriptedMockClient(obj)  # raises: a script is a JSON object
         return ScriptedMockClient(obj.get("script", obj), obj.get("default"))
     config = ClientConfig(
         base_url=args.base_url or "",

@@ -105,18 +105,33 @@ SPLIT_NAMES = ("train", "validation", "test")
 def document_violations(adoc: AnnotatedDocument, schema: Schema | None = None) -> list[str]:
     """Structural invariant check for one annotated document.
 
-    Verifies that the doc_id can name a file inside a directory, trigger
-    bounds, surface-text agreement with the document, and the
-    one-event-per-(type, span) constraint; optionally also runs schema
-    validation on each event.
+    Verifies the field types (non-empty string doc_id, patient_id and text,
+    an ISO-8601 note_date or None, a string annotator_id or None), that the
+    doc_id can name a file inside a directory, trigger bounds, surface-text
+    agreement with the document, and the one-event-per-(type, span)
+    constraint; optionally also runs schema validation on each event.
     """
-    out: list[str] = []
-    doc_id = adoc.document.doc_id
-    if doc_id in (".", "..") or any(c in doc_id for c in "/\\\0"):
-        out.append(f"doc_id {doc_id!r} cannot name a file inside a directory")
-    text = adoc.document.text
-    if not text:
-        out.append("document text is empty")
+    doc = adoc.document
+    out = [
+        f"missing or empty string field {key!r}"
+        for key in ("doc_id", "patient_id", "text")
+        if not isinstance(getattr(doc, key), str) or not getattr(doc, key)
+    ]
+    if doc.note_date is not None:
+        if not isinstance(doc.note_date, str):
+            out.append("'note_date' must be a string or null")
+        else:
+            try:
+                date.fromisoformat(doc.note_date)
+            except ValueError:
+                out.append(f"'note_date' {doc.note_date!r} is not an ISO-8601 date")
+    if adoc.annotator_id is not None and not isinstance(adoc.annotator_id, str):
+        out.append("'annotator_id' must be a string or null")
+    if out:
+        return out
+    if doc.doc_id in (".", "..") or any(c in doc.doc_id for c in "/\\\0"):
+        out.append(f"doc_id {doc.doc_id!r} cannot name a file inside a directory")
+    text = doc.text
     seen: set[tuple[str, int, int]] = set()
     for i, ev in enumerate(adoc.events):
         t = ev.trigger
@@ -150,6 +165,13 @@ class Section:
     body: str
 
 
+def _compile_rules(rules: list[str]) -> list[re.Pattern]:
+    try:
+        return [re.compile(p) for p in rules]
+    except re.error as exc:
+        raise CorpusError(f"invalid rule pattern {exc.pattern!r}: {exc}") from None
+
+
 def _iter_lines(text: str):
     pos = 0
     for line in text.splitlines(keepends=True):
@@ -169,7 +191,7 @@ def extract_sections(text: str, rules: list[str] | None = None) -> list[Section]
         rules = DEFAULT_HEADING_PATTERNS
     if not rules:
         raise CorpusError("heading rule list must be non-empty")
-    compiled = [re.compile(p) for p in rules]
+    compiled = _compile_rules(rules)
 
     headings: list[tuple[int, int, str]] = []  # (line_start, body_start, heading_text)
     for pos, line in _iter_lines(text):
@@ -191,7 +213,7 @@ def select_social_history(
     """First section whose heading matches a social-history pattern, if any."""
     if rules is None:
         rules = DEFAULT_SOCIAL_HISTORY_PATTERNS
-    compiled = [re.compile(p) for p in rules]
+    compiled = _compile_rules(rules)
     for sec in sections:
         heading = sec.heading.rstrip()
         if any(rx.fullmatch(heading) for rx in compiled):
@@ -250,7 +272,7 @@ def split_corpus(corpus: Corpus, sizes: tuple[int, int, int], seed: int) -> Corp
 
 # --- JSONL persistence ----------------------------------------------------
 
-def _doc_to_obj(adoc: AnnotatedDocument, split: str | None) -> dict:
+def doc_to_obj(adoc: AnnotatedDocument, split: str | None) -> dict:
     obj = {
         "doc_id": adoc.document.doc_id,
         "patient_id": adoc.document.patient_id,
@@ -271,13 +293,33 @@ def _doc_to_obj(adoc: AnnotatedDocument, split: str | None) -> dict:
     return obj
 
 
+def jsonl_records(text: str, name: str | None = None):
+    """Yield (where, object) for every non-blank JSONL line.
+
+    ``where`` is "line N", or "<name> line N" when the file is named; every
+    error about the line starts with it.
+    """
+    # Not splitlines(): U+2028 and the like may appear raw inside JSON strings.
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        where = f"{name} line {lineno}" if name else f"line {lineno}"
+        try:
+            obj = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nesting too deep
+            raise CorpusError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
+        if not isinstance(obj, dict):
+            raise CorpusError(f"{where}: expected a JSON object")
+        yield where, obj
+
+
+def jsonl_text(objs) -> str:
+    """One compact UTF-8 JSON line per object."""
+    return "".join(json.dumps(o, ensure_ascii=False, separators=(",", ":")) + "\n" for o in objs)
+
+
 def corpus_to_jsonl(corpus: Corpus) -> str:
-    lines = [
-        json.dumps(_doc_to_obj(d, corpus.split_assignment.get(d.doc_id)),
-                   ensure_ascii=False, separators=(",", ":"))
-        for d in corpus.docs
-    ]
-    return "".join(line + "\n" for line in lines)
+    return jsonl_text(doc_to_obj(d, corpus.split_assignment.get(d.doc_id)) for d in corpus.docs)
 
 
 def write_corpus_jsonl(corpus: Corpus, path) -> None:
@@ -285,34 +327,39 @@ def write_corpus_jsonl(corpus: Corpus, path) -> None:
         f.write(corpus_to_jsonl(corpus))
 
 
-def _parse_doc_obj(obj: dict, lineno: int) -> tuple[AnnotatedDocument, str | None]:
-    def fail(msg):
-        raise CorpusError(f"line {lineno}: {msg}")
+def document_from_obj(
+    obj: dict, events: list[Event], where: str, default_patient: bool = False
+) -> tuple[AnnotatedDocument, str | None]:
+    """The document one JSONL record describes, with the given events, and its split.
 
-    if not isinstance(obj, dict):
-        fail("expected a JSON object")
-    for key in ("doc_id", "patient_id", "text"):
-        if not isinstance(obj.get(key), str) or not obj.get(key):
-            fail(f"missing or empty string field {key!r}")
-    note_date = obj.get("note_date")
-    if note_date is not None:
-        if not isinstance(note_date, str):
-            fail("'note_date' must be a string or null")
-        try:
-            date.fromisoformat(note_date)
-        except ValueError:
-            fail(f"'note_date' {note_date!r} is not an ISO-8601 date")
-    annotator = obj.get("annotator_id")
-    if annotator is not None and not isinstance(annotator, str):
-        fail("'annotator_id' must be a string or null")
+    ``default_patient`` (sidecar and notes lines) reads an absent or null
+    patient_id as the doc_id. Raises CorpusError prefixed with ``where``.
+    """
+    patient_id = obj.get("patient_id")
+    if patient_id is None and default_patient:
+        patient_id = obj.get("doc_id")
+    adoc = AnnotatedDocument(
+        Document(obj.get("doc_id"), patient_id, obj.get("text"), obj.get("note_date")),
+        events,
+        obj.get("annotator_id"),
+    )
+    problems = document_violations(adoc)
+    split = obj.get("split")
+    if split is not None and split not in SPLIT_NAMES:
+        problems.append(f"unknown split {split!r}")
+    if problems:
+        raise CorpusError(f"{where}: " + "; ".join(problems))
+    return adoc, split
 
+
+def _events_from_obj(obj: dict, where: str) -> list[Event]:
     events = []
     raw_events = obj.get("events", [])
     if not isinstance(raw_events, list):
-        fail("'events' must be a list")
+        raise CorpusError(f"{where}: 'events' must be a list")
     for j, e in enumerate(raw_events):
         if not isinstance(e, dict) or not isinstance(e.get("type"), str):
-            fail(f"event {j}: missing string 'type'")
+            raise CorpusError(f"{where}: event {j}: missing string 'type'")
         trig = e.get("trigger")
         if (
             not isinstance(trig, dict)
@@ -320,48 +367,32 @@ def _parse_doc_obj(obj: dict, lineno: int) -> tuple[AnnotatedDocument, str | Non
             or type(trig.get("end")) is not int
             or not isinstance(trig.get("text"), str)
         ):
-            fail(f"event {j}: trigger must have int start/end and string text")
+            raise CorpusError(f"{where}: event {j}: trigger must have int start/end and string text")
         args = e.get("args", {})
         if not isinstance(args, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in args.items()
         ):
-            fail(f"event {j}: args must map strings to strings")
+            raise CorpusError(f"{where}: event {j}: args must map strings to strings")
         events.append(
             Event(e["type"], TextSpan(trig["start"], trig["end"], trig["text"]), dict(args))
         )
+    return events
 
-    split = obj.get("split")
-    if split is not None and split not in SPLIT_NAMES:
-        fail(f"unknown split {split!r}")
 
-    adoc = AnnotatedDocument(
-        Document(obj["doc_id"], obj["patient_id"], obj["text"], note_date), events, annotator
-    )
-    problems = document_violations(adoc)
-    if problems:
-        fail("; ".join(problems))
-    return adoc, split
+def jsonl_documents(text: str, default_patient: bool = False):
+    """Yield (document, split) for every corpus line; CorpusError on a bad line or repeated doc_id."""
+    seen_ids: set[str] = set()
+    for where, obj in jsonl_records(text):
+        adoc, split = document_from_obj(obj, _events_from_obj(obj, where), where, default_patient)
+        if adoc.doc_id in seen_ids:
+            raise CorpusError(f"{where}: duplicate doc_id {adoc.doc_id!r}")
+        seen_ids.add(adoc.doc_id)
+        yield adoc, split
 
 
 def corpus_from_jsonl(text: str) -> Corpus:
-    docs: list[AnnotatedDocument] = []
-    assignment: dict[str, str] = {}
-    seen_ids: set[str] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-        adoc, split = _parse_doc_obj(obj, lineno)
-        if adoc.doc_id in seen_ids:
-            raise CorpusError(f"line {lineno}: duplicate doc_id {adoc.doc_id!r}")
-        seen_ids.add(adoc.doc_id)
-        docs.append(adoc)
-        if split is not None:
-            assignment[adoc.doc_id] = split
-    return Corpus(docs, assignment)
+    pairs = list(jsonl_documents(text))
+    return Corpus([d for d, _ in pairs], {d.doc_id: s for d, s in pairs if s is not None})
 
 
 def read_corpus_jsonl(path) -> Corpus:

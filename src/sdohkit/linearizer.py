@@ -106,7 +106,8 @@ def ground_span(
     """Locate a trigger text in the document.
 
     Exact match first (earliest occurrence whose start is unclaimed), then
-    optional repair. Returns (span, was_repaired)."""
+    optional repair. Returns (span, was_repaired). A text found exactly, but
+    only at claimed starts, repeats a claimed trigger: (None, False), unrepaired."""
     pos = 0
     while trigger_text:
         hit = doc_text.find(trigger_text, pos)
@@ -115,7 +116,7 @@ def ground_span(
         if hit not in claimed_starts:
             return TextSpan(hit, hit + len(trigger_text), trigger_text), False
         pos = hit + 1
-    if repair:
+    if repair and not pos:
         span = repair_span(trigger_text, doc_text, max_norm_dist)
         if span is not None and span.start not in claimed_starts:
             return span, True
@@ -135,7 +136,6 @@ def parse_events(
         return outcome
 
     claimed: dict[str, set[int]] = {}
-    seen_spans: set[tuple[str, int, int]] = set()
     for fragment in output.strip().split(" AND "):
         fragment = fragment.strip()
         if not fragment:
@@ -156,14 +156,11 @@ def parse_events(
             trig_text, doc_text, claimed.setdefault(event_type, set()), repair, max_norm_dist
         )
         if span is None:
-            outcome.invalid_records.append(
-                InvalidRecord(fragment, "span-not-found", "trigger", trig_text)
-            )
-            continue
-        if (event_type, span.start, span.end) in seen_spans:
-            outcome.invalid_records.append(
-                InvalidRecord(fragment, "format", "trigger", "duplicate event span")
-            )
+            if trig_text and trig_text in doc_text:
+                record = InvalidRecord(fragment, "format", "trigger", "duplicate event span")
+            else:
+                record = InvalidRecord(fragment, "span-not-found", "trigger", trig_text)
+            outcome.invalid_records.append(record)
             continue
 
         arguments: dict[str, str] = {}
@@ -216,7 +213,6 @@ def parse_events(
             continue
 
         claimed[event_type].add(span.start)
-        seen_spans.add((event_type, span.start, span.end))
         outcome.events.append(Event(event_type, span, arguments))
         if repaired:
             outcome.repaired_count += 1

@@ -193,7 +193,12 @@ class ScriptedMockClient:
     """
 
     def __init__(self, script: dict[str, str] | None = None, default: str | None = None):
-        self.script = dict(script or {})
+        script = {} if script is None else script
+        if not isinstance(script, dict) or not all(isinstance(x, str) for kv in script.items() for x in kv):
+            raise ConfigurationError("mock script must map prompt fingerprints to response strings")
+        if default is not None and not isinstance(default, str):
+            raise ConfigurationError("mock script default must be a string or null")
+        self.script = dict(script)
         self.default = default
         self._lock = threading.Lock()
         self.transcript: list[tuple[str, str]] = []  # (fingerprint, response)

@@ -253,7 +253,8 @@ def parse_trigger_response(
 
     Returns (triggers, invalid records, number of triggers found by span
     repair). Lines that cannot be grounded (even with repair, when enabled)
-    are returned as invalid records. Duplicate grounded spans are merged.
+    are returned as invalid records. A line repeating an earlier trigger
+    (its exact text occurs only at claimed starts) is merged into it.
     """
     if is_none_answer(response):
         return [], [], 0
@@ -261,18 +262,15 @@ def parse_trigger_response(
     records: list[InvalidRecord] = []
     n_repaired = 0
     claimed: set[int] = set()
-    seen: set[tuple[int, int]] = set()
     for raw_line in response.strip().splitlines():
         line = _strip_quotes(_BULLET_RE.sub("", raw_line.strip()))
         if not line:
             continue
         span, repaired = ground_span(line, doc_text, claimed, repair, max_norm_dist)
         if span is None:
-            records.append(InvalidRecord(raw_line, "span-not-found", "trigger", line))
+            if line not in doc_text:
+                records.append(InvalidRecord(raw_line, "span-not-found", "trigger", line))
             continue
-        if (span.start, span.end) in seen:
-            continue
-        seen.add((span.start, span.end))
         claimed.add(span.start)
         triggers.append(span)
         n_repaired += repaired
@@ -633,8 +631,12 @@ def run_pipeline(
     metrics = RunMetrics(strategy, seed, n_docs=len(corpus.docs))
 
     def call(bundle: PromptBundle) -> Completion:
-        completion = client.complete(bundle.messages)
         metrics.queries_total += 1
+        if bundle.purpose == "trigger-step":
+            metrics.queries_step1 += 1
+        elif bundle.purpose == "argument-step":
+            metrics.queries_step2 += 1
+        completion = client.complete(bundle.messages)
         metrics.retries_total += getattr(completion, "retries", 0)
         return completion
 
@@ -678,7 +680,6 @@ def _run_2sqa_doc(doc, schema, call, metrics, mode, guide, train, seed, repair) 
         if mode == "guide+3shot":
             fewshot = sample_fewshot(train, et.name, "trigger", f"{seed}:{doc.doc_id}")
         bundle = build_trigger_prompt(doc, et.name, mode, guide.get(et.name), fewshot)
-        metrics.queries_step1 += 1
         completion = call(bundle)
         triggers, records, n_repaired = parse_trigger_response(completion.text, doc.text, repair)
         metrics.trigger_valid += len(triggers)
@@ -705,7 +706,6 @@ def _run_2sqa_doc(doc, schema, call, metrics, mode, guide, train, seed, repair) 
                     guide.get(f"{et.name}.{adef.name}"),
                     fs,
                 )
-                metrics.queries_step2 += 1
                 completion = call(bundle)
                 choice = parse_argument_response(completion.text, bundle.options)
                 if choice is None:

@@ -1,7 +1,23 @@
+import json
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sdohkit.brat import AnnFormatError, export_brat_dir, import_brat_dir, parse_ann, write_ann
-from sdohkit.corpus import AnnotatedDocument, Corpus, Document, Event, TextSpan
+from sdohkit.corpus import (
+    AnnotatedDocument,
+    Corpus,
+    CorpusError,
+    Document,
+    Event,
+    TextSpan,
+    corpus_from_jsonl,
+    corpus_to_jsonl,
+    document_violations,
+)
 from sdohkit.synth import generate_synthetic
 
 DOC = "Patient    lives with mom and is doing well."
@@ -136,3 +152,100 @@ def test_directory_import_without_sidecar(tmp_path):
     )
     corpus, _ = import_brat_dir(tmp_path)
     assert corpus.docs[0].document.patient_id == "n1"
+
+
+def _brat_dir(path: Path, sidecar: str, text: str = "he drinks wine") -> Path:
+    path.mkdir(exist_ok=True)
+    (path / "a.txt").write_text(text, encoding="utf-8")
+    (path / "metadata.jsonl").write_text(sidecar, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "sidecar, message",
+    [
+        ("{}", "need a unique string 'doc_id'"),
+        ("{bad", "invalid JSON"),
+        ("[]", "expected a JSON object"),
+        ('{"doc_id":"a","patient_id":7}', "missing or empty string field 'patient_id'"),
+        ('{"doc_id":"a","patient_id":""}', "missing or empty string field 'patient_id'"),
+        ('{"doc_id":"a","note_date":"yesterday"}', "not an ISO-8601 date"),
+        ('{"doc_id":"a","split":"bogus"}', "unknown split 'bogus'"),
+        ('{"doc_id":"a","annotator_id":3}', "'annotator_id' must be a string or null"),
+        ('{"doc_id":"a"}\n{"doc_id":"a"}', "need a unique string 'doc_id'"),
+    ],
+)
+def test_directory_import_rejects_bad_sidecar_lines(tmp_path, sidecar, message):
+    with pytest.raises(CorpusError, match=f"^metadata.jsonl line [12]: .*{message}"):
+        import_brat_dir(_brat_dir(tmp_path / "brat", sidecar + "\n"))
+
+
+def test_directory_import_sidecar_defaults(tmp_path):
+    sidecar = '{"doc_id":"a","patient_id":null,"split":null}\n{"doc_id":"gone","patient_id":"p"}\n'
+    corpus, _ = import_brat_dir(_brat_dir(tmp_path / "brat", sidecar))
+    assert corpus.docs[0].document == Document("a", "a", "he drinks wine")
+    assert corpus.split_assignment == {}
+
+
+def test_directory_import_rejects_empty_text(tmp_path):
+    with pytest.raises(CorpusError, match="^a.txt: missing or empty string field 'text'"):
+        import_brat_dir(_brat_dir(tmp_path / "brat", "", text=""))
+
+
+_ANN_LINES = st.one_of(
+    st.text(max_size=30),
+    st.builds(
+        "{}{}\t{} {} {}\t{}".format,
+        st.sampled_from("TEAX#R"), st.integers(0, 3), st.sampled_from(["Alcohol", "Drug", "Bad"]),
+        st.integers(-2, 20), st.integers(-2, 20), st.text(max_size=8),
+    ),
+    st.builds(
+        "{}{}\t{}:T{}".format,
+        st.sampled_from("ET"), st.integers(0, 3), st.sampled_from(["Alcohol", "Drug"]),
+        st.integers(0, 3),
+    ),
+    st.builds(
+        "A{}\t{} E{} {}".format,
+        st.integers(0, 3), st.sampled_from(["Status", "Type"]), st.integers(0, 3),
+        st.sampled_from(["current", "past", "x y"]),
+    ),
+)
+
+
+@given(st.lists(_ANN_LINES, max_size=8), st.text(min_size=1, max_size=24))
+def test_parse_ann_fuzz(lines, doc_text):
+    try:
+        events, warnings = parse_ann("\n".join(lines), doc_text)
+    except AnnFormatError:
+        return
+    assert all(isinstance(w, str) for w in warnings)
+    assert document_violations(AnnotatedDocument(Document("d", "p", doc_text), events)) == []
+
+
+_SIDECAR_VALUES = st.one_of(
+    st.none(), st.integers(-1, 3), st.text(max_size=6),
+    st.sampled_from(["a", "b", "p", "2020-01-31", "2020-13-01", "train", "test", "bogus", ""]),
+)
+_SIDECAR_LINE = st.fixed_dictionaries(
+    {"doc_id": st.sampled_from(["a", "b", "c"])},
+    optional={k: _SIDECAR_VALUES for k in ("patient_id", "note_date", "annotator_id", "split")},
+)
+
+
+@given(
+    st.lists(_SIDECAR_LINE, max_size=3),
+    st.lists(st.text(min_size=1, max_size=12), min_size=1, max_size=2),
+)
+def test_every_accepted_sidecar_imports_a_loadable_corpus(sidecar, texts):
+    with tempfile.TemporaryDirectory() as tmp:
+        for doc_id, text in zip("ab", texts):
+            Path(tmp, f"{doc_id}.txt").write_text(text, encoding="utf-8")
+        lines = "".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in sidecar)
+        Path(tmp, "metadata.jsonl").write_text(lines, encoding="utf-8")
+        try:
+            corpus, _ = import_brat_dir(tmp)
+        except CorpusError:
+            return
+    back = corpus_from_jsonl(corpus_to_jsonl(corpus))
+    assert back.docs == corpus.docs
+    assert back.split_assignment == corpus.split_assignment

@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sdohkit.cli import main
 from sdohkit.corpus import read_corpus_jsonl, write_corpus_jsonl
@@ -313,3 +317,126 @@ def test_extract_guide3shot_via_cli(tmp_path, capsys, gold_path):
         capsys, "score", "--gold", gold_path, "--pred", pred, "--out", tmp_path / "r2"
     )
     assert "100.0" in stdout
+
+
+@pytest.mark.parametrize(
+    "sidecar",
+    [
+        "{}",
+        "{bad",
+        "[]",
+        '{"doc_id":"a","patient_id":7}',
+        '{"doc_id":"a","note_date":"yesterday"}',
+        '{"doc_id":"a","split":"bogus"}',
+    ],
+)
+def test_brat_import_rejects_bad_sidecar(tmp_path, capsys, sidecar):
+    brat_dir = tmp_path / "brat"
+    brat_dir.mkdir()
+    (brat_dir / "a.txt").write_text("he drinks wine")
+    (brat_dir / "metadata.jsonl").write_text(sidecar + "\n")
+    code, _, err = _run(capsys, "brat-import", "--in-dir", brat_dir, "--out", tmp_path / "o.jsonl")
+    assert code == 2
+    assert "error: metadata.jsonl line 1: " in err
+
+
+@pytest.mark.parametrize(
+    "note, message",
+    [
+        ([1], "line 1: expected a JSON object"),
+        (
+            {"doc_id": "a", "patient_id": 7, "text": "x"},
+            "line 1: missing or empty string field 'patient_id'",
+        ),
+        ({"doc_id": "a", "note_date": "soon", "text": "x"}, "line 1: 'note_date' 'soon' is not"),
+        ({"doc_id": "a/b", "text": "x"}, "line 1: doc_id 'a/b' cannot name a file"),
+    ],
+)
+def test_sections_rejects_bad_notes_lines(tmp_path, capsys, note, message):
+    notes = tmp_path / "notes.jsonl"
+    notes.write_text(json.dumps(note) + "\n")
+    for emit in ("sections", "corpus"):
+        code, _, err = _run(
+            capsys, "sections", "--notes", notes, "--emit", emit, "--out", tmp_path / "o.jsonl"
+        )
+        assert code == 2
+        assert f"error: {message}" in err
+
+
+def test_sections_rejects_repeated_doc_id(tmp_path, capsys):
+    notes = tmp_path / "notes.jsonl"
+    note = json.dumps({"doc_id": "n1", "text": "Social History:\nlives alone"})
+    notes.write_text(f"{note}\n{note}\n")
+    code, _, err = _run(
+        capsys, "sections", "--notes", notes, "--emit", "corpus", "--out", tmp_path / "o"
+    )
+    assert code == 2
+    assert "error: line 2: duplicate doc_id 'n1'" in err
+
+
+def test_sections_null_patient_id_defaults_to_doc_id(tmp_path, capsys):
+    notes = tmp_path / "notes.jsonl"
+    note = {"doc_id": "n1", "patient_id": None, "text": "Social History:\nlives alone"}
+    notes.write_text(json.dumps(note))
+    out = tmp_path / "o.jsonl"
+    assert _run(capsys, "sections", "--notes", notes, "--emit", "corpus", "--out", out)[0] == 0
+    assert read_corpus_jsonl(out).docs[0].document.patient_id == "n1"
+
+
+@pytest.mark.parametrize("flag", ["--heading-rules", "--social-rules"])
+def test_sections_rejects_bad_rule_regex(tmp_path, capsys, flag):
+    notes = tmp_path / "notes.jsonl"
+    notes.write_text(json.dumps({"doc_id": "n1", "text": "Social History:\nlives alone"}))
+    rules = tmp_path / "rules.txt"
+    rules.write_text("Social History:\n(unclosed\n")
+    code, _, err = _run(capsys, "sections", "--notes", notes, flag, rules, "--out", tmp_path / "o")
+    assert code == 2
+    assert "invalid rule pattern '(unclosed'" in err
+
+
+@pytest.mark.parametrize(
+    "script", [[1, 2], {"default": 5}, {"script": {"fp": 3}}, {"script": {}, "default": 5}]
+)
+def test_extract_rejects_malformed_mock_script(tmp_path, capsys, gold_path, script):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script))
+    code, _, err = _run(
+        capsys,
+        "extract", "--corpus", gold_path, "--strategy", "event", "--seed", 1, "--client", "script",
+        "--mock-script", path, "--train", gold_path, "--out", tmp_path / "p.jsonl",
+    )
+    assert code == 3
+    assert "error: mock script" in err
+
+
+_NOTE_VALUES = st.one_of(
+    st.none(), st.integers(-1, 3), st.text(max_size=8),
+    st.sampled_from(["n1", "p", "2020-01-31", "2020-02-30", "", "a/b"]),
+)
+_NOTE_TEXT = st.builds(
+    "{}\n{}".format,
+    st.sampled_from(["Social History:", "SOCIAL HX", "HPI:"]),
+    st.text(min_size=1, max_size=20),
+)
+_NOTE = st.fixed_dictionaries(
+    {
+        "doc_id": st.one_of(st.sampled_from(["n1", "n2"]), _NOTE_VALUES),
+        "text": st.one_of(_NOTE_TEXT, _NOTE_TEXT, _NOTE_VALUES),
+        "patient_id": _NOTE_VALUES,
+    },
+    optional={k: _NOTE_VALUES for k in ("note_date", "annotator_id")},
+)
+
+
+@given(st.lists(_NOTE, max_size=3))
+def test_every_accepted_notes_file_emits_a_loadable_corpus(notes):
+    with tempfile.TemporaryDirectory() as tmp:
+        notes_path, out = Path(tmp, "notes.jsonl"), Path(tmp, "out.jsonl")
+        notes_path.write_text(
+            "".join(json.dumps(n, ensure_ascii=False) + "\n" for n in notes), encoding="utf-8"
+        )
+        code = main(["sections", "--notes", str(notes_path), "--emit", "corpus", "--out", str(out)])
+        assert code in (0, 2)
+        if code == 0:
+            corpus = read_corpus_jsonl(out)
+            assert all(d.document.patient_id for d in corpus.docs)

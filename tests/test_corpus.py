@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sdohkit.corpus import (
     AnnotatedDocument,
@@ -13,6 +15,7 @@ from sdohkit.corpus import (
     dedup_per_patient,
     document_violations,
     extract_sections,
+    jsonl_records,
     sample_corpus,
     select_social_history,
     split_corpus,
@@ -212,3 +215,111 @@ def test_document_violations_duplicate_event(schema):
     ev = Event("LivingArrangement", TextSpan(0, 5, "lives"), {"Type": "family", "Status": "current"})
     adoc = AnnotatedDocument(Document("d", "p", text), [ev, Event(ev.event_type, ev.trigger, {})])
     assert any("duplicate" in v for v in document_violations(adoc, schema))
+
+
+def test_document_violations_checks_field_types():
+    bad = AnnotatedDocument(Document("d", 7, "hi", "yesterday"), annotator_id=5)
+    assert document_violations(bad) == [
+        "missing or empty string field 'patient_id'",
+        "'note_date' 'yesterday' is not an ISO-8601 date",
+        "'annotator_id' must be a string or null",
+    ]
+    assert document_violations(AnnotatedDocument(Document("d", "p", "hi", 20200131))) == [
+        "'note_date' must be a string or null"
+    ]
+
+
+def test_jsonl_records_name_the_line_and_file():
+    records = list(jsonl_records('\n{"a":1}\n\n{"b":2}\n'))
+    assert records == [("line 2", {"a": 1}), ("line 4", {"b": 2})]
+    with pytest.raises(CorpusError, match="^line 2: expected a JSON object"):
+        list(jsonl_records('{"a":1}\n[1]\n'))
+    with pytest.raises(CorpusError, match="^meta.jsonl line 1: invalid JSON"):
+        list(jsonl_records("{bad\n", "meta.jsonl"))
+    with pytest.raises(CorpusError, match="^line 1: invalid JSON .*recursion"):
+        list(jsonl_records("[" * 100_000))
+
+
+@pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85"])
+def test_jsonl_round_trip_keeps_unicode_line_separators(sep):
+    corpus = Corpus([AnnotatedDocument(Document("a", "p", f"lives{sep}alone"))])
+    assert corpus_from_jsonl(corpus_to_jsonl(corpus)).docs == corpus.docs
+
+
+@pytest.mark.parametrize("rules", [["("], ["ok:", "[unclosed"]])
+def test_bad_rule_pattern_is_a_corpus_error(rules):
+    with pytest.raises(CorpusError, match="invalid rule pattern"):
+        extract_sections(NOTE, rules)
+    with pytest.raises(CorpusError, match="invalid rule pattern"):
+        select_social_history(extract_sections(NOTE), rules)
+
+
+# Corpus records: valid ones, about half of them with one field replaced by
+# an arbitrary JSON value or removed.
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 30), st.text(max_size=12),
+    st.sampled_from(["", "d0", "../x", "2020-02-30", "train", "bogus"]),
+    st.lists(st.integers(0, 5), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.text(max_size=3), max_size=2),
+)
+_VALID_EVENTS = [
+    {"type": "Alcohol", "trigger": {"start": 3, "end": 9, "text": "drinks"},
+     "args": {"Status": "current"}},
+    {"type": "Alcohol", "trigger": {"start": 3, "end": 14, "text": "drinks wine"}, "args": {}},
+    {"type": "Employment", "trigger": {"start": 3, "end": 9, "text": "drinks"}, "args": {}},
+]
+_MUTABLE = [
+    ("doc_id",), ("patient_id",), ("note_date",), ("text",), ("annotator_id",), ("split",),
+    ("events",), ("events", 0), ("events", 0, "type"), ("events", 0, "trigger"), ("events", 0, "args"),
+    ("events", 0, "trigger", "start"), ("events", 0, "trigger", "end"), ("events", 0, "trigger", "text"),
+]
+
+
+@st.composite
+def _records(draw, max_size=3):
+    records = []
+    for i in range(draw(st.integers(0, max_size))):
+        events = draw(
+            st.lists(st.sampled_from(range(len(_VALID_EVENTS))), unique=True, min_size=1, max_size=2)
+        )
+        record = {
+            "doc_id": f"d{i}",
+            "patient_id": "p",
+            "note_date": draw(st.sampled_from([None, "2020-01-31"])),
+            "text": "he drinks wine daily",
+            "annotator_id": draw(st.sampled_from([None, "ann1"])),
+            "events": json.loads(json.dumps([_VALID_EVENTS[j] for j in events])),
+            "split": draw(st.sampled_from([None, "train", "validation", "test"])),
+        }
+        *parents, last = draw(st.sampled_from(_MUTABLE))
+        target = record
+        for key in parents:
+            target = target[key]
+        if draw(st.booleans()) and (isinstance(target, dict) or last < len(target)):
+            if draw(st.booleans()):
+                target[last] = draw(_JSON_VALUES)
+            else:
+                del target[last]
+        records.append(record)
+    return records
+
+
+def _loads_or_corpus_error(text):
+    try:
+        corpus = corpus_from_jsonl(text)
+    except CorpusError:
+        return
+    for adoc in corpus.docs:
+        assert document_violations(adoc) == []
+    assert set(corpus.split_assignment.values()) <= {"train", "validation", "test"}
+    assert corpus_from_jsonl(corpus_to_jsonl(corpus)).docs == corpus.docs
+
+
+@given(st.text())
+def test_loader_fuzz_arbitrary_text(text):
+    _loads_or_corpus_error(text)
+
+
+@given(_records())
+def test_loader_fuzz_near_valid_records(records):
+    _loads_or_corpus_error("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records))

@@ -2,10 +2,14 @@
 
 One module-scoped run drives ``cli.main`` through synthetic, guide-stub,
 extract (four strategies with the oracle client, 2sqa-base with the nonsense
-client), score, significance at all three levels, sections and
-export-finetune, and records the sha256 of each output. The expected digests
-were taken from the implementation before any refactor; a refactor that keeps
-outputs byte-identical keeps this test passing unchanged. Manifests carry a
+client), score, significance at all three levels, sections, export-finetune,
+and a standoff round trip (brat-export of an unsplit corpus, a partly split
+one and the sections corpus, then brat-import of each directory), and records
+the sha256 of each output. A standoff directory is hashed per file kind: the
+sha256 of a ``sha256sum``-style listing of its ``.txt`` files, of its ``.ann``
+files, and of ``metadata.jsonl``. The expected digests were taken from the
+implementation before any refactor; a refactor that keeps outputs
+byte-identical keeps this test passing unchanged. Manifests carry a
 timestamp and are left out.
 """
 
@@ -42,6 +46,19 @@ EXPECTED = {
     "sections/corpus": "3f012d6d1bb5cebd5984b099c5a1a91400af82595f9c5bf200f8ac85f94ff66a",
     "export-finetune/event": "69389493b5d2bb9cd033b6d1e50f3b4bb085eaa04c654b4401f9f98bfe0cbf86",
     "export-finetune/2sqa": "b425812a6795cd46d6a09a40fac49649b7e82f4e97f3b20582a7d964f805162d",
+    # Standoff round trip; each import reads back its corpus in doc_id order.
+    "brat-export/unsplit/txt": "96f4f0ce7bb949408cf7463ca716c842d47636751fb2bf46c337b974882852ad",
+    "brat-export/unsplit/ann": "48e1fa2651d3c47a85d4251f77b9e5cc7a674acf1f6d21771c1e102257090e64",
+    "brat-export/unsplit/metadata": "ac7e1ea659225be7a49d4e2831901bb6858a1cf3a8b08dce7c512fbaa0c5f0aa",
+    "brat-import/unsplit": "00f8b2b6bd806cf509a8ff6c0dedcad997ea35c543e126f0d2a6e553315e9d5b",
+    "brat-export/split/txt": "96f4f0ce7bb949408cf7463ca716c842d47636751fb2bf46c337b974882852ad",
+    "brat-export/split/ann": "48e1fa2651d3c47a85d4251f77b9e5cc7a674acf1f6d21771c1e102257090e64",
+    "brat-export/split/metadata": "9214fb403650f76ca0f1a454d0df0af31730c43a7cdcb5586f00e82b0428b3a9",
+    "brat-import/split": "90af9a6bcc3ef1931155b45295b0e18692efa99593e666335b64c4f16d123c85",
+    "brat-export/sections/txt": "e3e2ef10308e19ab1ce46000e917f38f554f9eec8c94daf9253c3789d7fb0b2a",
+    "brat-export/sections/ann": "470adc35bc3b5bbde149d7ae2a5e64bcf8cac7d0224a58961c4e820d39a33fe3",
+    "brat-export/sections/metadata": "60e532e98a7ffad32d4197ff28e19fae9c32d6549d70d5ce3847f2876c951008",
+    "brat-import/sections": "3f012d6d1bb5cebd5984b099c5a1a91400af82595f9c5bf200f8ac85f94ff66a",
 }
 
 
@@ -125,6 +142,22 @@ def digests(tmp_path_factory):
         out = d / f"finetune-{strategy}.jsonl"
         _cli("export-finetune", "--corpus", gold, "--strategy", strategy, "--out", out)
         record(f"export-finetune/{strategy}", out)
+
+    split = d / "split.jsonl"
+    _cli("sample", "--corpus", gold, "--splits", "20,8,8", "--seed", 3, "--out", split)
+    sections = d / "sections.jsonl"  # patient_id defaults and null note_dates
+    for name, corpus in (("unsplit", gold), ("split", split), ("sections", sections)):
+        brat_dir, back = d / f"brat-{name}", d / f"back-{name}.jsonl"
+        _cli("brat-export", "--corpus", corpus, "--out-dir", brat_dir)
+        for kind in ("txt", "ann"):
+            listing = "".join(
+                f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}\n"
+                for p in sorted(brat_dir.glob(f"*.{kind}"))
+            )
+            outputs[f"brat-export/{name}/{kind}"] = hashlib.sha256(listing.encode()).hexdigest()
+        record(f"brat-export/{name}/metadata", brat_dir / "metadata.jsonl")
+        _cli("brat-import", "--in-dir", brat_dir, "--out", back)
+        record(f"brat-import/{name}", back)
     return outputs
 
 

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdohkit import linearizer
 from sdohkit.corpus import Event, TextSpan
 from sdohkit.linearizer import (
+    InvalidRecord,
     SerializeError,
     parse_events,
     repair_span,
@@ -167,6 +169,16 @@ def test_parse_same_text_two_occurrences():
     )
     res = parse_events(out, doc, MINI)
     assert [e.trigger.start for e in res.events] == [0, 15]
+
+
+def test_parse_repeated_fragment_is_a_duplicate(monkeypatch):
+    repairs = []
+    monkeypatch.setattr(linearizer, "repair_span", lambda *args: repairs.append(args))
+    fragment = "LivingArrangement [lives] | Status = past [lives]"
+    res = parse_events(f"{fragment} AND {fragment}", "he lives alone", MINI)
+    assert [e.trigger.start for e in res.events] == [3]
+    assert res.invalid_records == [InvalidRecord(fragment, "format", "trigger", "duplicate event span")]
+    assert repairs == []
 
 
 # --- repair_span ------------------------------------------------------------------

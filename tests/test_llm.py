@@ -65,6 +65,15 @@ def test_scripted_mock_strict_unknown():
     assert fallback.complete([ChatMessage("user", "?")]).text == "NONE"
 
 
+@pytest.mark.parametrize(
+    "script, default",
+    [([1, 2], None), ({"fp": 3}, None), ({1: "x"}, None), ({}, 5), ({"fp": "x"}, ["NONE"])],
+)
+def test_scripted_mock_rejects_malformed_script(script, default):
+    with pytest.raises(ConfigurationError, match="mock script"):
+        ScriptedMockClient(script, default)
+
+
 def test_http_client_success(monkeypatch):
     monkeypatch.setenv("SDOHKIT_API_KEY", "k")
     calls = []

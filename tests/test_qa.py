@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from sdohkit import linearizer
 from sdohkit.corpus import AnnotatedDocument, Corpus, Document, Event, TextSpan
 from sdohkit.linearizer import parse_events
-from sdohkit.llm import Completion
+from sdohkit.llm import Completion, TransportError
 from sdohkit.qa import (
     FewShotError,
     FewShotSet,
@@ -228,6 +231,20 @@ def test_parse_trigger_response_absent_line():
     assert bad[0].reason == "span-not-found"
 
 
+def test_parse_trigger_response_merges_a_repeated_line(monkeypatch):
+    repairs = []
+    monkeypatch.setattr(linearizer, "repair_span", lambda *args: repairs.append(args))
+    spans, bad, n_repaired = parse_trigger_response("drinks wine\ndrinks wine", "he drinks wine daily")
+    assert [(s.start, s.end) for s in spans] == [(3, 14)]
+    assert (bad, n_repaired, repairs) == ([], 0, [])
+
+
+def test_parse_trigger_response_repeated_line_takes_the_next_occurrence():
+    spans, bad, _ = parse_trigger_response("wine\nwine", "wine at noon, wine at night")
+    assert [(s.start, s.end) for s in spans] == [(0, 4), (14, 18)]
+    assert bad == []
+
+
 def test_parse_argument_response_exact():
     assert parse_argument_response("current", ["past", "current"]) == "current"
 
@@ -303,6 +320,14 @@ def test_sample_fewshot_missing_many_class(schema):
 
 def test_guide_stub_covers_schema(schema, guide):
     assert check_guide_coverage(guide, schema) == []
+
+
+@given(st.text())
+def test_parse_guide_file_fuzz(text):
+    blocks = parse_guide_file(text)
+    for key, body in blocks.items():
+        assert f"[{key}]" in text
+        assert body == body.strip()
 
 
 def test_parse_guide_file_blocks():
@@ -409,6 +434,24 @@ def test_pipeline_transport_failure_recorded(schema, corpus):
     assert metrics.failures == [victim.doc_id]
     assert pred.doc_map[victim.doc_id].events == []
     assert len(pred.docs) == len(corpus.docs)
+
+
+def test_pipeline_query_counters_agree_when_documents_fail(schema, corpus):
+    class EverySeventhCallFails:
+        def __init__(self, inner):
+            self.inner, self.calls = inner, 0
+
+        def complete(self, messages):
+            self.calls += 1
+            if self.calls % 7 == 0:
+                raise TransportError("boom")
+            return self.inner.complete(messages)
+
+    five = Corpus(corpus.docs[:5])
+    client = EverySeventhCallFails(GoldOracleClient(five, schema))
+    _, metrics = run_pipeline(five, schema, client, "2sqa-base", seed=1)
+    assert metrics.failures
+    assert metrics.queries_total == metrics.queries_step1 + metrics.queries_step2 == client.calls
 
 
 class _UpperCaseTriggers:
