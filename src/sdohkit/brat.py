@@ -13,15 +13,19 @@ parse.
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 from .corpus import Corpus, CorpusError, Event, TextSpan, doc_to_obj, document_from_obj
-from .corpus import document_violations, jsonl_records, jsonl_text
+from .corpus import document_violations, jsonl_records, jsonl_text, read_text, write_text
 from .schema import Schema, validate_event
 
 
 class AnnFormatError(ValueError):
     """Structurally malformed .ann content."""
+
+
+# A tab or line break (any that str.splitlines breaks at) inside a trigger
+# would split its T line, so the T text field carries a space in its place.
+_FIELD_SAFE = str.maketrans(dict.fromkeys("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029", " "))
 
 
 def parse_ann(
@@ -30,7 +34,8 @@ def parse_ann(
     """Parse .ann content against its document text.
 
     Returns (events, warnings). Events whose spans are unusable are dropped
-    with a warning; surface-text mismatches are repaired to the document
+    with a warning; surface-text mismatches (after mapping tabs and line
+    breaks to spaces, as ``write_ann`` does) are repaired to the document
     substring and warned about; schema violations are warned but kept.
     """
     tb: dict[str, tuple[str, int, int, str, int]] = {}  # id -> (label, start, end, text, line)
@@ -107,7 +112,7 @@ def parse_ann(
             warnings.append(f"line {t_line}: span [{start},{end}) out of bounds, {eid} dropped")
             continue
         actual = doc_text[start:end]
-        if actual != text:
+        if actual.translate(_FIELD_SAFE) != text:
             warnings.append(
                 f"line {t_line}: surface text differs from document at [{start},{end}), using document text"
             )
@@ -143,8 +148,11 @@ def parse_ann(
 def write_ann(events: list[Event], doc_text: str) -> str:
     """Emit .ann lines with sequential ids in event order.
 
+    A tab or line break inside a trigger appears as a space in the T line's
+    text field; the offsets still index the document exactly. So
     ``parse_ann(write_ann(events, text), text)`` reproduces the events
-    exactly (and warning-free) for any valid event list.
+    exactly and warning-free for any events ``document_violations`` accepts
+    whose labels and argument values hold no whitespace other than spaces.
     """
     lines = []
     attr_n = 0
@@ -156,7 +164,7 @@ def write_ann(events: list[Event], doc_text: str) -> str:
             )
         if doc_text[t.start:t.end] != t.text:
             raise AnnFormatError(f"event {i}: trigger text does not match document")
-        lines.append(f"T{i}\t{ev.event_type} {t.start} {t.end}\t{t.text}")
+        lines.append(f"T{i}\t{ev.event_type} {t.start} {t.end}\t{t.text.translate(_FIELD_SAFE)}")
         lines.append(f"E{i}\t{ev.event_type}:T{i}")
         for name, value in ev.arguments.items():
             attr_n += 1
@@ -186,11 +194,11 @@ def export_brat_dir(corpus: Corpus, dirpath) -> None:
     meta = []
     for adoc in corpus.docs:
         doc = adoc.document
-        Path(dirpath, f"{doc.doc_id}.txt").write_text(doc.text, encoding="utf-8")
-        Path(dirpath, f"{doc.doc_id}.ann").write_text(write_ann(adoc.events, doc.text), encoding="utf-8")
+        write_text(os.path.join(dirpath, f"{doc.doc_id}.txt"), doc.text)
+        write_text(os.path.join(dirpath, f"{doc.doc_id}.ann"), write_ann(adoc.events, doc.text))
         obj = doc_to_obj(adoc, corpus.split_assignment.get(doc.doc_id))
         meta.append({key: obj.get(key) for key in _META_KEYS})
-    Path(dirpath, _META_FILE).write_text(jsonl_text(meta), encoding="utf-8")
+    write_text(os.path.join(dirpath, _META_FILE), jsonl_text(meta))
 
 
 def import_brat_dir(dirpath, schema: Schema | None = None) -> tuple[Corpus, list[str]]:
@@ -202,9 +210,9 @@ def import_brat_dir(dirpath, schema: Schema | None = None) -> tuple[Corpus, list
     ignored. Returns (corpus, warnings).
     """
     meta: dict[str, tuple[str, dict]] = {}  # doc_id -> (where, sidecar record)
-    meta_path = Path(dirpath, _META_FILE)
-    if meta_path.exists():
-        for where, obj in jsonl_records(meta_path.read_text(encoding="utf-8"), _META_FILE):
+    meta_path = os.path.join(dirpath, _META_FILE)
+    if os.path.exists(meta_path):
+        for where, obj in jsonl_records(read_text(meta_path), _META_FILE):
             doc_id = obj.get("doc_id")
             if not isinstance(doc_id, str) or doc_id in meta:
                 raise CorpusError(f"{where}: need a unique string 'doc_id'")
@@ -216,9 +224,9 @@ def import_brat_dir(dirpath, schema: Schema | None = None) -> tuple[Corpus, list
     names = sorted(n for n in os.listdir(dirpath) if n.endswith(".txt"))
     for name in names:
         doc_id = name[: -len(".txt")]
-        text = Path(dirpath, name).read_text(encoding="utf-8")
-        ann_path = Path(dirpath, doc_id + ".ann")
-        ann_text = ann_path.read_text(encoding="utf-8") if ann_path.exists() else ""
+        text = read_text(os.path.join(dirpath, name))
+        ann_path = os.path.join(dirpath, doc_id + ".ann")
+        ann_text = read_text(ann_path) if os.path.exists(ann_path) else ""
         try:
             events, warns = parse_ann(ann_text, text, schema)
         except AnnFormatError as exc:

@@ -5,9 +5,9 @@ Every command that writes outputs also writes a run manifest
 recording the command, a hash of its configuration, seeds, input and output
 paths, the tool version, and a timestamp, so any artifact can be reproduced.
 
-Exit codes: 0 success, 1 usage, 2 data validation, 3 transport or client
-configuration. Document text never reaches stdout or stderr unless
---unsafe-show-text is given.
+Exit codes: 0 success, 1 usage, 2 data validation or an unusable path, 3
+transport or client configuration. Document text never reaches stdout or
+stderr unless --unsafe-show-text is given.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ import os
 import sys
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
-from pathlib import Path
 
 from . import __version__
-from .brat import AnnFormatError, export_brat_dir, import_brat_dir
+from .brat import export_brat_dir, import_brat_dir
 from .corpus import (
     AnnotatedDocument,
     CorpusError,
@@ -30,29 +29,29 @@ from .corpus import (
     dedup_per_patient,
     doc_to_obj,
     extract_sections,
+    json_value,
     jsonl_documents,
     jsonl_text,
     read_corpus_jsonl,
+    read_text,
     sample_corpus,
     select_social_history,
     split_corpus,
     write_corpus_jsonl,
+    write_text,
 )
-from .linearizer import SerializeError
 from .llm import ClientConfig, ConfigurationError, HttpChatClient, ScriptedMockClient, TransportError
 from .qa import (
-    FewShotError,
     GoldOracleClient,
     NonsenseClient,
-    PromptError,
     STRATEGIES,
     export_finetune_pairs,
     guide_stub,
     parse_guide_file,
     run_pipeline,
 )
-from .schema import SchemaError, default_schema, load_schema_file
-from .scoring import ScoringError, compute_iaa, render_table, score_corpus
+from .schema import default_schema, load_schema
+from .scoring import compute_iaa, render_table, score_corpus
 from .significance import bootstrap_test
 from .synth import generate_fewshot_train, generate_synthetic
 
@@ -84,19 +83,15 @@ def _write_manifest(command: str, args: argparse.Namespace, inputs: list, output
     }
     first = outputs[0]
     path = os.path.join(first, "manifest.json") if os.path.isdir(first) else f"{first}.manifest.json"
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2)
-        f.write("\n")
+    write_text(path, json.dumps(manifest, indent=2) + "\n")
 
 
 def _load_schema(path: str | None):
-    return load_schema_file(path) if path else default_schema()
+    return load_schema(read_text(path)) if path else default_schema()
 
 
 def _write_json(obj, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 # --- commands -----------------------------------------------------------------
@@ -112,8 +107,7 @@ def cmd_score(args) -> int:
     if levels:
         obj = {"levels": {lv: obj["levels"][lv] for lv in levels}}
     _write_json(obj, f"{args.out}.json")
-    with open(f"{args.out}.txt", "w", encoding="utf-8") as f:
-        f.write(table)
+    write_text(f"{args.out}.txt", table)
     print(table, end="")
     _write_manifest("score", args, [args.gold, args.pred, args.schema], [f"{args.out}.json", f"{args.out}.txt"])
     return 0
@@ -161,13 +155,13 @@ def cmd_significance(args) -> int:
 def _read_rules(path: str | None) -> list[str] | None:
     if not path:
         return None
-    return [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
+    return [ln for ln in read_text(path).splitlines() if ln.strip()]
 
 
 def cmd_sections(args) -> int:
     heading_rules, social_rules = _read_rules(args.heading_rules), _read_rules(args.social_rules)
 
-    notes = list(jsonl_documents(Path(args.notes).read_text(encoding="utf-8"), default_patient=True))
+    notes = list(jsonl_documents(read_text(args.notes), default_patient=True))
     n_match = 0
     out_objs = []
     for adoc, _ in notes:
@@ -191,7 +185,7 @@ def cmd_sections(args) -> int:
             )
             if args.unsafe_show_text and social is not None:
                 print(f"{doc.doc_id}: {social.heading}")
-    Path(args.out).write_text(jsonl_text(out_objs), encoding="utf-8")
+    write_text(args.out, jsonl_text(out_objs))
     print(f"processed {len(notes)} notes, {n_match} with a social-history section")
     _write_manifest("sections", args, [args.notes, args.heading_rules, args.social_rules], [args.out])
     return 0
@@ -239,7 +233,7 @@ def cmd_export_finetune(args) -> int:
     schema = _load_schema(args.schema)
     corpus = read_corpus_jsonl(args.corpus)
     pairs = export_finetune_pairs(corpus, schema, args.strategy)
-    Path(args.out).write_text(jsonl_text(pairs), encoding="utf-8")
+    write_text(args.out, jsonl_text(pairs))
     print(f"wrote {len(pairs)} pairs")
     _write_manifest("export-finetune", args, [args.corpus, args.schema], [args.out])
     return 0
@@ -253,8 +247,7 @@ def _build_client(args, corpus, schema):
     if args.client == "script":
         if not args.mock_script:
             raise ConfigurationError("--client script requires --mock-script")
-        with open(args.mock_script, encoding="utf-8") as f:
-            obj = json.load(f)
+        obj = json_value(read_text(args.mock_script), args.mock_script)
         if not isinstance(obj, dict):
             return ScriptedMockClient(obj)  # raises: a script is a JSON object
         return ScriptedMockClient(obj.get("script", obj), obj.get("default"))
@@ -277,10 +270,7 @@ def cmd_extract(args) -> int:
     schema = _load_schema(args.schema)
     corpus = read_corpus_jsonl(args.corpus)
     train = read_corpus_jsonl(args.train) if args.train else None
-    guide = None
-    if args.guide_file:
-        with open(args.guide_file, encoding="utf-8") as f:
-            guide = parse_guide_file(f.read())
+    guide = parse_guide_file(read_text(args.guide_file)) if args.guide_file else None
     client = _build_client(args, corpus, schema)
     pred, metrics = run_pipeline(
         corpus, schema, client, args.strategy, args.seed, train=train, guide=guide,
@@ -303,8 +293,7 @@ def cmd_extract(args) -> int:
 
 def cmd_guide_stub(args) -> int:
     schema = _load_schema(args.schema)
-    with open(args.out, "w", encoding="utf-8") as f:
-        f.write(guide_stub(schema))
+    write_text(args.out, guide_stub(schema))
     print(f"wrote guide stub to {args.out}")
     _write_manifest("guide-stub", args, [args.schema], [args.out])
     return 0
@@ -443,17 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigurationError, TransportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (
-        CorpusError,
-        SchemaError,
-        AnnFormatError,
-        ScoringError,
-        SerializeError,
-        PromptError,
-        FewShotError,
-        FileNotFoundError,
-        ValueError,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # typed data errors are ValueErrors; OSError: a bad path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,5 +1,6 @@
 """Documents, events, and corpora: the annotation data model plus section
-extraction, per-patient dedup, sampling, splits, and JSONL persistence.
+extraction, per-patient dedup, sampling, splits, and the file boundary:
+every file sdohkit reads or writes goes through ``read_text``/``write_text``.
 
 Character offsets are Unicode code-point indices into the document text,
 half-open ``[start, end)``. Corpus values are treated as immutable once
@@ -270,7 +271,35 @@ def split_corpus(corpus: Corpus, sizes: tuple[int, int, int], seed: int) -> Corp
     return Corpus(list(corpus.docs), assignment)
 
 
-# --- JSONL persistence ----------------------------------------------------
+# --- files and JSONL persistence -------------------------------------------
+
+def read_text(path) -> str:
+    """A file's text as stored: strict UTF-8, no newline translation, so
+    offsets into it count every ``\\r``. CorpusError names the file and line
+    of an undecodable byte."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise CorpusError(f"{path} line {line}: not UTF-8 ({exc.reason})") from None
+
+
+def write_text(path, text: str) -> None:
+    """Write text as UTF-8, exactly as given (no newline translation)."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(text)
+
+
+def json_value(text: str, where):
+    """The one JSON decoder: CorpusError prefixed with ``where`` on invalid
+    JSON, including JSON nested too deeply for the parser."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise CorpusError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
+
 
 def doc_to_obj(adoc: AnnotatedDocument, split: str | None) -> dict:
     obj = {
@@ -304,10 +333,7 @@ def jsonl_records(text: str, name: str | None = None):
         if not line.strip():
             continue
         where = f"{name} line {lineno}" if name else f"line {lineno}"
-        try:
-            obj = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nesting too deep
-            raise CorpusError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
+        obj = json_value(line, where)
         if not isinstance(obj, dict):
             raise CorpusError(f"{where}: expected a JSON object")
         yield where, obj
@@ -323,8 +349,7 @@ def corpus_to_jsonl(corpus: Corpus) -> str:
 
 
 def write_corpus_jsonl(corpus: Corpus, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(corpus_to_jsonl(corpus))
+    write_text(path, corpus_to_jsonl(corpus))
 
 
 def document_from_obj(
@@ -396,5 +421,4 @@ def corpus_from_jsonl(text: str) -> Corpus:
 
 
 def read_corpus_jsonl(path) -> Corpus:
-    with open(path, encoding="utf-8") as f:
-        return corpus_from_jsonl(f.read())
+    return corpus_from_jsonl(read_text(path))

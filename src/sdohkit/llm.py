@@ -186,7 +186,7 @@ class HttpChatClient:
 
 
 class ScriptedMockClient:
-    """Responds from a fingerprint-to-text script; records a transcript.
+    """Responds from a fingerprint-to-text script.
 
     Unknown fingerprints raise in strict mode (the default when no fallback
     response is given), otherwise return the fallback.
@@ -200,18 +200,12 @@ class ScriptedMockClient:
             raise ConfigurationError("mock script default must be a string or null")
         self.script = dict(script)
         self.default = default
-        self._lock = threading.Lock()
-        self.transcript: list[tuple[str, str]] = []  # (fingerprint, response)
 
     def complete(self, messages: list[ChatMessage]) -> Completion:
         _check_messages(messages)
         fp = fingerprint(messages)
         if fp in self.script:
-            text = self.script[fp]
-        elif self.default is not None:
-            text = self.default
-        else:
-            raise TransportError(f"no scripted response for prompt {fp[:12]}")
-        with self._lock:
-            self.transcript.append((fp, text))
-        return Completion(text)
+            return Completion(self.script[fp])
+        if self.default is not None:
+            return Completion(self.default)
+        raise TransportError(f"no scripted response for prompt {fp[:12]}")

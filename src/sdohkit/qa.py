@@ -53,7 +53,6 @@ class PromptError(ValueError):
 class PromptBundle:
     messages: list[ChatMessage]
     purpose: str  # event-extraction | trigger-step | argument-step
-    target: object = None
     options: list[str] | None = None
 
 
@@ -175,7 +174,7 @@ def build_trigger_prompt(
         messages.append(ChatMessage("user", _trigger_user_message(event_type, ex.text)))
         messages.append(ChatMessage("assistant", ex.answer))
     messages.append(ChatMessage("user", _trigger_user_message(event_type, _text_of(doc))))
-    return PromptBundle(messages, "trigger-step", target=event_type)
+    return PromptBundle(messages, "trigger-step")
 
 
 def _argument_user_message(
@@ -229,9 +228,7 @@ def build_argument_prompt(
             "user", _argument_user_message(event_type, argument.name, trigger, options, _text_of(doc))
         )
     )
-    return PromptBundle(
-        messages, "argument-step", target=(event_type, argument.name, trigger), options=options
-    )
+    return PromptBundle(messages, "argument-step", options=options)
 
 
 # --- response parsing ---------------------------------------------------------
@@ -486,7 +483,6 @@ class GoldOracleClient:
             if d.document.text in self._by_text:
                 raise ValueError(f"duplicate document text for {d.doc_id}")
             self._by_text[d.document.text] = d
-        self.calls = 0
 
     def _doc_for(self, note: str) -> AnnotatedDocument:
         doc = self._by_text.get(note)
@@ -495,7 +491,6 @@ class GoldOracleClient:
         return doc
 
     def complete(self, messages: list[ChatMessage]) -> Completion:
-        self.calls += 1
         user = [m for m in messages if m.role == "user"][-1]
         content = user.content
         idx = content.find(_NOTE_MARK)
@@ -529,10 +524,8 @@ class NonsenseClient:
 
     def __init__(self, text: str = "zzqx gibberish ]] output [[ vvk"):
         self.text = text
-        self.calls = 0
 
     def complete(self, messages: list[ChatMessage]) -> Completion:
-        self.calls += 1
         return Completion(self.text)
 
 

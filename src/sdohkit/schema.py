@@ -103,10 +103,6 @@ class Schema:
     def event_type(self, name: str) -> EventTypeDef | None:
         return self._by_name.get(name)
 
-    @property
-    def event_type_names(self) -> list[str]:
-        return [et.name for et in self.event_types]
-
 
 def load_schema(source: str) -> Schema:
     """Parse and validate a schema from JSON text.
@@ -116,7 +112,7 @@ def load_schema(source: str) -> Schema:
     """
     try:
         raw = json.loads(source)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nesting too deep
         raise SchemaError(f"schema file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError("schema file must contain a JSON object at top level")
@@ -155,11 +151,6 @@ def load_schema(source: str) -> Schema:
             raise SchemaError(f"event type {name!r}: 'report_group' must be a string")
         event_types.append(EventTypeDef(name, tuple(args), group or ""))
     return Schema(version, tuple(event_types))
-
-
-def load_schema_file(path) -> Schema:
-    with open(path, encoding="utf-8") as f:
-        return load_schema(f.read())
 
 
 def write_schema(schema: Schema) -> str:

@@ -82,7 +82,7 @@ def perturb_events(doc: AnnotatedDocument, schema: Schema, rng: random.Random) -
             continue
         event_type = ev.event_type
         if rng.random() < 0.08:
-            event_type = rng.choice(schema.event_type_names)
+            event_type = rng.choice(schema.event_types).name
         start, end = ev.trigger.start, ev.trigger.end
         if rng.random() < 0.35:
             start = max(0, start + rng.randint(-3, 3))

@@ -3,7 +3,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sdohkit.brat import AnnFormatError, export_brat_dir, import_brat_dir, parse_ann, write_ann
@@ -143,6 +143,40 @@ def test_directory_export_rejects_unsafe_doc_ids(tmp_path, doc_id):
         export_brat_dir(Corpus([good, bad]), out)
     # Nothing is written, inside the output directory or beside it.
     assert not list(tmp_path.rglob("*"))
+
+
+# A tab and every character str.splitlines breaks at.
+_FIELD_BREAKS = "\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@st.composite
+def _documents_with_triggers(draw):
+    text = draw(st.text(st.sampled_from("ab é" + _FIELD_BREAKS), min_size=1, max_size=30))
+    events, keys = [], set()
+    for _ in range(draw(st.integers(0, 4))):
+        start = draw(st.integers(0, len(text) - 1))
+        end = draw(st.integers(start + 1, len(text)))
+        event_type = draw(st.sampled_from(["SubstanceUse", "Employment"]))
+        if (event_type, start, end) not in keys:
+            keys.add((event_type, start, end))
+            args = draw(st.sampled_from([{}, {"Status": "current"}]))
+            events.append(Event(event_type, TextSpan(start, end, text[start:end]), args))
+    return AnnotatedDocument(Document("d", "p", text), events)
+
+
+@given(_documents_with_triggers())
+@example(  # offsets after a CRLF count the \r
+    AnnotatedDocument(
+        Document("d", "p", "line one\r\nhe drinks wine"),
+        [Event("SubstanceUse", TextSpan(13, 19, "drinks"), {})],
+    )
+)
+def test_standoff_round_trip_is_exact_for_triggers_with_tabs_and_line_breaks(adoc):
+    with tempfile.TemporaryDirectory() as tmp:
+        export_brat_dir(Corpus([adoc]), tmp)
+        corpus, warnings = import_brat_dir(tmp)
+    assert corpus.docs == [adoc]
+    assert warnings == []
 
 
 def test_directory_import_without_sidecar(tmp_path):

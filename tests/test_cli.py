@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sdohkit import cli, qa
+from sdohkit.brat import import_brat_dir
 from sdohkit.cli import main
 from sdohkit.corpus import read_corpus_jsonl, write_corpus_jsonl
+from sdohkit.schema import default_schema, write_schema
 from sdohkit.synth import generate_synthetic
 
 
@@ -287,6 +290,55 @@ def test_brat_round_trip_commands(tmp_path, capsys, gold_path):
     assert back.read_text() == gold_path.read_text()
 
 
+@pytest.mark.parametrize(
+    "name, data, line, command",
+    [
+        ("c.jsonl", b'\n\n\n{"doc_id": "\xff"}\n', 4, "sample --seed 1 --corpus {path}"),
+        (
+            "g.txt", b"[SubstanceUse]\nok\n\xff\n", 3,
+            "extract --corpus {gold} --strategy 2sqa-guide --seed 1 --client oracle --guide-file {path}",
+        ),
+        ("s.json", b'{"version": "1",\n "event_types": [\xff]}', 2, "synthetic --n 1 --seed 1 --schema {path}"),
+        ("brat/a.txt", b"abc\r\ndef\xff", 2, "brat-import --in-dir {dir}"),
+    ],
+    ids=["corpus", "guide", "schema", "standoff-txt"],
+)
+def test_undecodable_input_exits_2_naming_file_and_line(
+    tmp_path, capsys, gold_path, name, data, line, command
+):
+    path = tmp_path / name
+    path.parent.mkdir(exist_ok=True)
+    path.write_bytes(data)
+    argv = command.format(path=path, gold=gold_path, dir=path.parent).split()
+    code, _, err = _run(capsys, *argv, "--out", tmp_path / "o.jsonl")
+    assert code == 2
+    assert f"error: {path} line {line}: not UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "synthetic --n 1 --seed 1 --schema {deep}",
+        "extract --corpus {gold} --strategy event --seed 1 --client script --mock-script {deep}",
+    ],
+    ids=["schema", "mock-script"],
+)
+def test_too_deeply_nested_json_file_exits_2(tmp_path, capsys, gold_path, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    argv = command.format(deep=deep, gold=gold_path).split()
+    code, _, err = _run(capsys, *argv, "--out", tmp_path / "o.jsonl")
+    assert code == 2
+    assert "JSON" in err and "recursion" in err
+
+
+def test_directory_as_input_or_output_path_exits_2(tmp_path, capsys, gold_path):
+    for corpus, out in ((tmp_path, tmp_path / "o.jsonl"), (gold_path, tmp_path)):
+        code, _, err = _run(capsys, "sample", "--corpus", corpus, "--seed", 1, "--out", out)
+        assert code == 2
+        assert "Is a directory" in err
+
+
 def test_brat_export_cannot_escape_out_dir(tmp_path, capsys):
     corpus = tmp_path / "evil.jsonl"
     corpus.write_text(
@@ -440,3 +492,64 @@ def test_every_accepted_notes_file_emits_a_loadable_corpus(notes):
         if code == 0:
             corpus = read_corpus_jsonl(out)
             assert all(d.document.patient_id for d in corpus.docs)
+
+
+def _crlf(path: Path) -> Path:
+    """A copy of the file beside it with every LF turned into CRLF."""
+    copy = path.with_name("crlf-" + path.name)
+    copy.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    return copy
+
+
+def test_crlf_inputs_load_like_lf(tmp_path, capsys, gold_path, monkeypatch):
+    assert read_corpus_jsonl(_crlf(gold_path)) == read_corpus_jsonl(gold_path)
+
+    brat_dir = tmp_path / "brat"
+    assert _run(capsys, "brat-export", "--corpus", gold_path, "--out-dir", brat_dir)[0] == 0
+    lf_import = import_brat_dir(brat_dir)
+    sidecar = brat_dir / "metadata.jsonl"
+    _crlf(sidecar).replace(sidecar)
+    assert import_brat_dir(brat_dir) == lf_import
+
+    notes, headings, social = (tmp_path / n for n in ("notes.jsonl", "headings.txt", "social.txt"))
+    notes.write_text(
+        json.dumps({"doc_id": "n1", "text": "HPI:\nfever\nSocial Hx\nlives alone"}) + "\n"
+        + json.dumps({"doc_id": "n2", "patient_id": "p", "text": "no headings"}) + "\n"
+    )
+    headings.write_text("HPI:\nSocial Hx\n")
+    social.write_text("(?i)social hx\n")
+    outputs = []
+    for n, h, s in ((notes, headings, social), map(_crlf, (notes, headings, social))):
+        out = tmp_path / f"sections-{len(outputs)}.jsonl"
+        argv = ("sections", "--notes", n, "--heading-rules", h, "--social-rules", s, "--out", out)
+        assert _run(capsys, *argv)[0] == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert b'"social_history_heading":"Social Hx"' in outputs[0]
+
+    schema = tmp_path / "schema.json"
+    schema.write_text(write_schema(default_schema()))
+    outputs = []
+    for path in (schema, _crlf(schema)):
+        out = tmp_path / f"synthetic-{len(outputs)}.jsonl"
+        argv = ("synthetic", "--schema", path, "--n", 5, "--seed", 2, "--out", out)
+        assert _run(capsys, *argv)[0] == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+    guide = tmp_path / "guide.txt"
+    assert _run(capsys, "guide-stub", "--out", guide)[0] == 0
+    guides = []
+
+    def parse_and_keep(text):
+        guides.append(qa.parse_guide_file(text))
+        return guides[-1]
+
+    monkeypatch.setattr(cli, "parse_guide_file", parse_and_keep)
+    for path in (guide, _crlf(guide)):
+        assert _run(
+            capsys, "extract", "--corpus", gold_path, "--strategy", "2sqa-guide", "--seed", 1,
+            "--client", "oracle", "--guide-file", path, "--out", tmp_path / "p.jsonl",
+        )[0] == 0
+    assert len(guides) == 2 and guides[0] == guides[1]
+    assert guides[0]["LivingArrangement.Residence"]

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -15,10 +16,13 @@ from sdohkit.corpus import (
     dedup_per_patient,
     document_violations,
     extract_sections,
+    json_value,
     jsonl_records,
+    read_text,
     sample_corpus,
     select_social_history,
     split_corpus,
+    write_text,
 )
 from sdohkit.synth import generate_synthetic
 
@@ -238,6 +242,26 @@ def test_jsonl_records_name_the_line_and_file():
         list(jsonl_records("{bad\n", "meta.jsonl"))
     with pytest.raises(CorpusError, match="^line 1: invalid JSON .*recursion"):
         list(jsonl_records("[" * 100_000))
+
+
+def test_write_text_and_read_text_keep_the_bytes(tmp_path):
+    path, text = tmp_path / "f.txt", "a\r\nb\rc\n\u2028é\n"
+    write_text(path, text)
+    assert path.read_bytes() == text.encode("utf-8")
+    assert read_text(path) == text
+
+
+def test_read_text_names_the_file_and_line_of_a_bad_byte(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b"ok\r\nstill ok\n\xc3(")
+    with pytest.raises(CorpusError, match=f"^{re.escape(str(path))} line 3: not UTF-8"):
+        read_text(path)
+
+
+def test_json_value_prefixes_errors_with_where():
+    assert json_value('{"a": [1]}\r\n', "x") == {"a": [1]}
+    with pytest.raises(CorpusError, match="^script.json: invalid JSON .*delimiter"):
+        json_value('{"a" 1}', "script.json")
 
 
 @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85"])

@@ -2,7 +2,8 @@
 
 One module-scoped run drives ``cli.main`` through synthetic, guide-stub,
 extract (four strategies with the oracle client, 2sqa-base with the nonsense
-client), score, significance at all three levels, sections, export-finetune,
+client), score (all levels and event level alone), iaa, significance at all
+three levels, sections (both ``--emit`` forms), export-finetune,
 and a standoff round trip (brat-export of an unsplit corpus, a partly split
 one and the sections corpus, then brat-import of each directory), and records
 the sha256 of each output. A standoff directory is hashed per file kind: the
@@ -40,10 +41,14 @@ EXPECTED = {
     "extract/2sqa-base/nonsense/metrics": "69777ea977f5e8621bdc115cf54534c8f87c74a8fcd444c8fd63a7380a9685e7",
     "score/json": "2b7edfc90a2a49ae2f60255a79dacca43d3a34d7639b48f03a9be1cd29c7f358",
     "score/txt": "b9a3f5d1116e3843c93ca0569892b61408ece2b10c6693f5ffec2ccb659ecb1e",
+    "score/event/json": "80c527afec8d47d4efcd19a8d2e4205007faa54ba680b47eb5ac35784e15c6b0",
+    "score/event/txt": "4b6bb299feeacf43cf1502426d481505144cabb30fb059ba08701afdbf4862be",
+    "iaa/json": "71a9303e1d4136002a0898b4f2742c0e767117d49b02940f48ccc11dd390e668",
     "significance/trigger": "e8def670c670d2d5fd59efe38fb559a61ccd65987144bfdd39e907e2a216bba2",
     "significance/argument": "d34a59609d2c04a539c5266700e722fe6b72c1fcd8414844822e65058ab8b80e",
     "significance/event": "b64ca75b7aaa3f64a9130faff1a6b6ff518bff344bc0bce901d45bfeabefeae3",
     "sections/corpus": "3f012d6d1bb5cebd5984b099c5a1a91400af82595f9c5bf200f8ac85f94ff66a",
+    "sections/sections": "f4b31284510bb418e5e1de145aa9cc13bc16f12c943c16ec084ccbf4b6914cc1",
     "export-finetune/event": "69389493b5d2bb9cd033b6d1e50f3b4bb085eaa04c654b4401f9f98bfe0cbf86",
     "export-finetune/2sqa": "b425812a6795cd46d6a09a40fac49649b7e82f4e97f3b20582a7d964f805162d",
     # Standoff round trip; each import reads back its corpus in doc_id order.
@@ -126,6 +131,12 @@ def digests(tmp_path_factory):
     _cli("score", "--gold", gold, "--pred", pred_b, "--out", d / "report")
     record("score/json", d / "report.json")
     record("score/txt", d / "report.txt")
+    _cli("score", "--gold", gold, "--pred", pred_b, "--level", "event", "--out", d / "report-event")
+    record("score/event/json", d / "report-event.json")
+    record("score/event/txt", d / "report-event.txt")
+
+    _cli("iaa", "--ann-a", pred_a, "--ann-b", pred_b, "--out", d / "iaa")
+    record("iaa/json", d / "iaa.json")
 
     for level in ("trigger", "argument", "event"):
         out = d / f"boot-{level}.json"
@@ -137,6 +148,8 @@ def digests(tmp_path_factory):
     notes.write_text(_notes_jsonl(gold_corpus), encoding="utf-8")
     _cli("sections", "--notes", notes, "--emit", "corpus", "--out", d / "sections.jsonl")
     record("sections/corpus", d / "sections.jsonl")
+    _cli("sections", "--notes", notes, "--emit", "sections", "--out", d / "sections-only.jsonl")
+    record("sections/sections", d / "sections-only.jsonl")
 
     for strategy in ("event", "2sqa"):
         out = d / f"finetune-{strategy}.jsonl"

@@ -53,6 +53,8 @@ def test_duplicate_subtype_rejected():
 def test_bad_json_is_parse_error():
     with pytest.raises(SchemaError, match="JSON"):
         load_schema("{not json")
+    with pytest.raises(SchemaError, match="JSON"):  # nested too deeply for the parser
+        load_schema("[" * 100_000)
 
 
 def test_identifiers_reject_whitespace():
