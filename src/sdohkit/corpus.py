@@ -107,8 +107,9 @@ def document_violations(adoc: AnnotatedDocument, schema: Schema | None = None) -
     """Structural invariant check for one annotated document.
 
     Verifies the field types (non-empty string doc_id, patient_id and text,
-    an ISO-8601 note_date or None, a string annotator_id or None), that the
-    doc_id can name a file inside a directory, trigger bounds, surface-text
+    an ISO-8601 note_date or None, a string annotator_id or None), that
+    every string, event labels included, encodes as UTF-8, that the doc_id
+    can name a file inside a directory, trigger bounds, surface-text
     agreement with the document, and the one-event-per-(type, span)
     constraint; optionally also runs schema validation on each event.
     """
@@ -130,6 +131,10 @@ def document_violations(adoc: AnnotatedDocument, schema: Schema | None = None) -
         out.append("'annotator_id' must be a string or null")
     if out:
         return out
+    for key, value in (("doc_id", doc.doc_id), ("patient_id", doc.patient_id), ("text", doc.text),
+                       ("annotator_id", adoc.annotator_id or "")):
+        if problem := _unwritable(value):
+            out.append(f"{key!r} {problem}")
     if doc.doc_id in (".", "..") or any(c in doc.doc_id for c in "/\\\0"):
         out.append(f"doc_id {doc.doc_id!r} cannot name a file inside a directory")
     text = doc.text
@@ -145,9 +150,21 @@ def document_violations(adoc: AnnotatedDocument, schema: Schema | None = None) -
         if key in seen:
             out.append(f"event {i}: duplicate ({ev.event_type}, [{t.start},{t.end})) trigger")
         seen.add(key)
+        for label in (ev.event_type, *ev.arguments, *ev.arguments.values()):
+            if problem := _unwritable(label):
+                out.append(f"event {i}: label {label!r} {problem}")
         if schema is not None:
             out.extend(f"event {i}: {v}" for v in validate_event(schema, ev))
     return out
+
+
+def _unwritable(value: str) -> str | None:
+    """Why no writer can store the string (a lone surrogate), or None."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return f"cannot be written as UTF-8 ({exc.reason} at index {exc.start})"
+    return None
 
 
 @dataclass(frozen=True)
@@ -287,9 +304,13 @@ def read_text(path) -> str:
 
 
 def write_text(path, text: str) -> None:
-    """Write text as UTF-8, exactly as given (no newline translation)."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(text)
+    """Write text as UTF-8, exactly as given (no newline translation).
+
+    Text that does not encode raises before the file is opened, so a failed
+    write leaves no file behind."""
+    data = text.encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(data)
 
 
 def json_value(text: str, where):
@@ -404,10 +425,12 @@ def _events_from_obj(obj: dict, where: str) -> list[Event]:
     return events
 
 
-def jsonl_documents(text: str, default_patient: bool = False):
-    """Yield (document, split) for every corpus line; CorpusError on a bad line or repeated doc_id."""
+def jsonl_documents(text: str, default_patient: bool = False, name: str | None = None):
+    """Yield (document, split) for every corpus line; CorpusError on a bad line or repeated doc_id.
+
+    ``name``, the file the text came from, starts every error message."""
     seen_ids: set[str] = set()
-    for where, obj in jsonl_records(text):
+    for where, obj in jsonl_records(text, name):
         adoc, split = document_from_obj(obj, _events_from_obj(obj, where), where, default_patient)
         if adoc.doc_id in seen_ids:
             raise CorpusError(f"{where}: duplicate doc_id {adoc.doc_id!r}")
@@ -415,10 +438,10 @@ def jsonl_documents(text: str, default_patient: bool = False):
         yield adoc, split
 
 
-def corpus_from_jsonl(text: str) -> Corpus:
-    pairs = list(jsonl_documents(text))
+def corpus_from_jsonl(text: str, name: str | None = None) -> Corpus:
+    pairs = list(jsonl_documents(text, name=name))
     return Corpus([d for d, _ in pairs], {d.doc_id: s for d, s in pairs if s is not None})
 
 
 def read_corpus_jsonl(path) -> Corpus:
-    return corpus_from_jsonl(read_text(path))
+    return corpus_from_jsonl(read_text(path), str(path))

@@ -101,7 +101,6 @@ def ground_span(
     doc_text: str,
     claimed_starts: set[int],
     repair: bool = True,
-    max_norm_dist: float = 0.2,
 ) -> tuple[TextSpan | None, bool]:
     """Locate a trigger text in the document.
 
@@ -117,7 +116,7 @@ def ground_span(
             return TextSpan(hit, hit + len(trigger_text), trigger_text), False
         pos = hit + 1
     if repair and not pos:
-        span = repair_span(trigger_text, doc_text, max_norm_dist)
+        span = repair_span(trigger_text, doc_text)
         if span is not None and span.start not in claimed_starts:
             return span, True
     return None, False
@@ -128,7 +127,6 @@ def parse_events(
     doc_text: str,
     schema: Schema,
     repair: bool = True,
-    max_norm_dist: float = 0.2,
 ) -> ParseOutcome:
     """Parse a model's linearized output back into grounded events."""
     outcome = ParseOutcome()
@@ -153,7 +151,7 @@ def parse_events(
             )
             continue
         span, repaired = ground_span(
-            trig_text, doc_text, claimed.setdefault(event_type, set()), repair, max_norm_dist
+            trig_text, doc_text, claimed.setdefault(event_type, set()), repair
         )
         if span is None:
             if trig_text and trig_text in doc_text:
@@ -226,34 +224,42 @@ def _normalize(s: str) -> str:
     return collapsed.strip(_STRIP_CHARS)
 
 
-def _lev_within(a: str, b: str, k: int) -> int | None:
-    """Levenshtein distance if it is <= k, else None (banded DP)."""
-    if abs(len(a) - len(b)) > k:
-        return None
-    if k < 0:
-        return None
-    if a == b:
-        return 0
-    big = k + 1
-    prev = list(range(len(b) + 1))
-    for i in range(1, len(a) + 1):
-        cur = [big] * (len(b) + 1)
-        lo = max(1, i - k)
-        hi = min(len(b), i + k)
-        if i - k <= 0:
-            cur[0] = i
-        ca = a[i - 1]
-        row_min = cur[0] if cur[0] <= k else big
-        for j in range(lo, hi + 1):
-            cost = 0 if ca == b[j - 1] else 1
-            v = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
-            cur[j] = v
-            if v < row_min:
-                row_min = v
-        if row_min > k:
-            return None
-        prev = cur
-    return prev[len(b)] if prev[len(b)] <= k else None
+def _char_masks(pattern: str) -> dict[str, int]:
+    """Bit i of masks[ch] is set where pattern[i] == ch."""
+    masks: dict[str, int] = {}
+    for i, ch in enumerate(pattern):
+        masks[ch] = masks.get(ch, 0) | (1 << i)
+    return masks
+
+
+def _myers_distances(masks: dict[str, int], m: int, text: str, anchored: bool) -> list[int]:
+    """Edit distances of a length-m pattern at every end of ``text``.
+
+    Myers' bit-vector algorithm (Myers 1999, J. ACM 46(3), in Hyyrö's
+    formulation) with Python ints as m-bit column vectors: entry j-1 is
+    lev(pattern, text[:j]) when ``anchored``, else the smallest
+    lev(pattern, text[s:j]) over all starts s.
+    """
+    ones = (1 << m) - 1
+    high = 1 << (m - 1)
+    carry = int(anchored)  # row 0 of the DP: j when anchored, 0 when any start is free
+    pv, mv, score = ones, 0, m
+    out = []
+    for ch in text:
+        eq = masks.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & high:
+            score += 1
+        elif mh & high:
+            score -= 1
+        ph = (ph << 1) | carry
+        pv = ((mh << 1) | ~(xv | ph)) & ones
+        mv = ph & xv
+        out.append(score)
+    return out
 
 
 def repair_span(claimed: str, doc_text: str, max_norm_dist: float = 0.2) -> TextSpan | None:
@@ -261,12 +267,20 @@ def repair_span(claimed: str, doc_text: str, max_norm_dist: float = 0.2) -> Text
 
     Stage 1 looks for a normalization-equivalent match (casefolded,
     whitespace collapsed, edge punctuation stripped) over word-aligned
-    windows. Stage 2 scans substrings within +/-50% of the claimed length
-    and takes the minimum-Levenshtein candidate (casefolded comparison)
-    whose distance divided by the longer length is at most max_norm_dist.
-    Annotated spans start and end on word characters, so distance ties
-    prefer candidates whose edges do not split or pad a word, then the
-    smallest start offset, then the length closest to the claimed text.
+    windows. Stage 2 considers every substring within +/-50% of the claimed
+    length L and takes the minimum-Levenshtein candidate (casefolded
+    comparison) whose distance d satisfies
+    ``d <= int(max_norm_dist * max(length, L))``. Annotated spans start and
+    end on word characters, so distance ties prefer candidates whose edges
+    do not split or pad a word, then the smallest start offset, then the
+    length closest to the claimed text, then the shorter one.
+
+    Stage 2 is bit-parallel: one Myers pass of the claim over the note gives
+    the best distance ending at each position, and only ends within the
+    largest allowed distance get a second, anchored pass of the reversed
+    claim over the reversed window before them, which gives the distance
+    from every start. A miss therefore costs O(n * ceil(m / w)) big-int
+    operations for an n-char note, an m-char claim and w-bit machine words.
     """
     if not claimed:
         return None
@@ -296,43 +310,31 @@ def repair_span(claimed: str, doc_text: str, max_norm_dist: float = 0.2) -> Text
         doc_fold = doc_text
         c = claimed
 
-    claim_count: dict[str, int] = {}
-    for ch in c:
-        claim_count[ch] = claim_count.get(ch, 0) + 1
-
-    best_d: int | None = None
-    ties: list[tuple[int, int]] = []  # (start, length) at distance best_d
-    n = len(doc_fold)
-    for start in range(n):
-        counts: dict[str, int] = {}
-        missing = L
-        extra = 0
-        limit = min(max_len, n - start)
-        for off in range(limit):
-            ch = doc_fold[start + off]
-            have = counts.get(ch, 0)
-            if have < claim_count.get(ch, 0):
-                missing -= 1
-            else:
-                extra += 1
-            counts[ch] = have + 1
-            length = off + 1
-            if length < min_len:
+    # bound[length]: the largest distance a candidate of that length may have
+    bound = [int(max_norm_dist * max(length, L)) for length in range(max_len + 1)]
+    k_max = max(bound[min_len:])
+    # The best distance ending at j bounds every candidate ending there from below.
+    ends = sorted(
+        (d, j)
+        for j, d in enumerate(_myers_distances(_char_masks(c), len(c), doc_fold, False), 1)
+        if d <= k_max
+    )
+    if not ends:
+        return None
+    reversed_masks = _char_masks(c[::-1])
+    best = k_max
+    ties: list[tuple[int, int]] = []  # (start, length) at distance best
+    for d_end, j in ends:
+        if d_end > best:
+            break
+        window = doc_fold[max(0, j - max_len) : j][::-1]
+        for length, d in enumerate(_myers_distances(reversed_masks, len(c), window, True), 1):
+            if length < min_len or d > bound[length] or d > best:
                 continue
-            k_allow = int(max_norm_dist * max(length, L))
-            if best_d is not None:
-                k_allow = min(k_allow, best_d)
-            if k_allow < 0 or max(missing, extra) > k_allow:
-                continue
-            d = _lev_within(c, doc_fold[start : start + length], k_allow)
-            if d is None:
-                continue
-            if best_d is None or d < best_d:
-                best_d = d
-                ties = [(start, length)]
-            elif d == best_d:
-                ties.append((start, length))
-    if best_d is None:
+            if d < best:
+                best, ties = d, []
+            ties.append((j - length, length))
+    if not ties:
         return None
 
     def word_aligned(start: int, length: int) -> int:

@@ -3,8 +3,9 @@
 The HTTP client posts the de facto chat-completion JSON shape
 ({"model", "messages": [{"role", "content"}, ...], ...}) to a configurable
 endpoint, retries transient failures (timeouts, 429, 5xx) with exponential
-backoff, and bounds in-flight requests per client with a semaphore. The API
-key comes from an environment variable only.
+backoff, lengthened to a delta-seconds ``Retry-After`` header when the
+endpoint sends one, and bounds in-flight requests per client with a
+semaphore. The API key comes from an environment variable only.
 
 Privacy posture: prompts and completions are never written to logs; logging
 carries metadata (status, latency, retry counts) only.
@@ -25,11 +26,15 @@ ROLES = ("system", "user", "assistant")
 
 
 class TransportError(RuntimeError):
-    """Request failed after exhausting the retry budget."""
+    """Request failed after exhausting the retry budget.
 
-    def __init__(self, message: str, status: int | None = None):
+    ``retry_after`` is the wait in seconds the endpoint asked for, if any.
+    """
+
+    def __init__(self, message: str, status: int | None = None, retry_after: float | None = None):
         super().__init__(message)
         self.status = status
+        self.retry_after = retry_after
 
 
 class ConfigurationError(ValueError):
@@ -97,6 +102,13 @@ def _check_messages(messages: list[ChatMessage]) -> None:
 _RETRYABLE = {429}
 
 
+def _retry_after(value: str | None) -> float | None:
+    """A delta-seconds ``Retry-After`` value; None when absent or malformed
+    (an HTTP date included), so the normal backoff applies."""
+    value = (value or "").strip()
+    return float(value) if value.isascii() and value.isdigit() else None
+
+
 def _default_transport(url: str, headers: dict, body: dict, timeout: float):
     import requests
 
@@ -107,7 +119,11 @@ def _default_transport(url: str, headers: dict, body: dict, timeout: float):
     except requests.RequestException as exc:
         raise TransportError(f"request failed: {type(exc).__name__}") from exc
     if resp.status_code != 200:
-        raise TransportError(f"endpoint returned {resp.status_code}", status=resp.status_code)
+        raise TransportError(
+            f"endpoint returned {resp.status_code}",
+            status=resp.status_code,
+            retry_after=_retry_after(resp.headers.get("Retry-After")),
+        )
     try:
         return resp.json()
     except ValueError as exc:
@@ -168,7 +184,11 @@ class HttpChatClient:
                         "completion failed status=%s attempts=%d", exc.status, attempt + 1
                     )
                     raise
-                self._sleep(self.config.backoff_base * (2 ** attempt))
+                delay = self.config.backoff_base * (2 ** attempt)
+                if exc.retry_after is not None:
+                    # The header may lengthen the wait, up to the request timeout, never shorten it.
+                    delay = max(delay, min(exc.retry_after, self.config.request_timeout))
+                self._sleep(delay)
                 attempt += 1
         latency = (time.perf_counter() - start) * 1000
         try:

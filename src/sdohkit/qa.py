@@ -244,7 +244,7 @@ def _strip_quotes(s: str) -> str:
 
 
 def parse_trigger_response(
-    response: str, doc_text: str, repair: bool = True, max_norm_dist: float = 0.2
+    response: str, doc_text: str, repair: bool = True
 ) -> tuple[list[TextSpan], list[InvalidRecord], int]:
     """Ground a one-trigger-per-line response; NONE means no triggers.
 
@@ -263,7 +263,7 @@ def parse_trigger_response(
         line = _strip_quotes(_BULLET_RE.sub("", raw_line.strip()))
         if not line:
             continue
-        span, repaired = ground_span(line, doc_text, claimed, repair, max_norm_dist)
+        span, repaired = ground_span(line, doc_text, claimed, repair)
         if span is None:
             if line not in doc_text:
                 records.append(InvalidRecord(raw_line, "span-not-found", "trigger", line))

@@ -2,10 +2,13 @@
 
 The matching oracle enumerates one-to-one matchings exhaustively, so it is
 only usable on small documents; the scorer must agree with it on randomly
-generated instances.
+generated instances. The span-repair and bootstrap references are the
+straightforward implementations the library's faster ones must match.
 """
 
 import random
+import re
+import string
 
 import numpy as np
 
@@ -153,3 +156,135 @@ def bootstrap_reference(gold: Corpus, pred_a: Corpus, pred_b: Corpus,
         if da > 2 * delta:
             exceed += 1
     return delta, (exceed + 1) / (n_resamples + 1)
+
+
+# --- span repair reference ---------------------------------------------------
+
+_STRIP_CHARS = string.punctuation + string.whitespace
+
+
+def _normalize(s: str) -> str:
+    collapsed = " ".join(s.casefold().split())
+    return collapsed.strip(_STRIP_CHARS)
+
+
+def _lev_within(a: str, b: str, k: int) -> int | None:
+    """Levenshtein distance if it is <= k, else None (banded DP)."""
+    if abs(len(a) - len(b)) > k:
+        return None
+    if k < 0:
+        return None
+    if a == b:
+        return 0
+    big = k + 1
+    prev = list(range(len(b) + 1))
+    for i in range(1, len(a) + 1):
+        cur = [big] * (len(b) + 1)
+        lo = max(1, i - k)
+        hi = min(len(b), i + k)
+        if i - k <= 0:
+            cur[0] = i
+        ca = a[i - 1]
+        row_min = cur[0] if cur[0] <= k else big
+        for j in range(lo, hi + 1):
+            cost = 0 if ca == b[j - 1] else 1
+            v = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
+            cur[j] = v
+            if v < row_min:
+                row_min = v
+        if row_min > k:
+            return None
+        prev = cur
+    return prev[len(b)] if prev[len(b)] <= k else None
+
+
+def repair_span_reference(claimed: str, doc_text: str, max_norm_dist: float = 0.2) -> TextSpan | None:
+    """``linearizer.repair_span`` computed the direct way: stage 2 runs a
+    banded Levenshtein DP from every start offset.
+
+    Stage 1 looks for a normalization-equivalent match (casefolded,
+    whitespace collapsed, edge punctuation stripped) over word-aligned
+    windows. Stage 2 scans substrings within +/-50% of the claimed length
+    and takes the minimum-Levenshtein candidate (casefolded comparison)
+    whose distance divided by the longer length is at most max_norm_dist.
+    Annotated spans start and end on word characters, so distance ties
+    prefer candidates whose edges do not split or pad a word, then the
+    smallest start offset, then the length closest to the claimed text.
+    """
+    if not claimed:
+        return None
+
+    norm_claimed = _normalize(claimed)
+    if norm_claimed:
+        k = len(norm_claimed.split())
+        tokens = [(m.start(), m.end()) for m in re.finditer(r"\S+", doc_text)]
+        for i in range(len(tokens) - k + 1):
+            s, e = tokens[i][0], tokens[i + k - 1][1]
+            if _normalize(doc_text[s:e]) == norm_claimed:
+                while s < e and doc_text[s] in _STRIP_CHARS:
+                    s += 1
+                while e > s and doc_text[e - 1] in _STRIP_CHARS:
+                    e -= 1
+                if s < e:
+                    return TextSpan(s, e, doc_text[s:e])
+
+    c = claimed.casefold()
+    L = len(claimed)
+    min_len = max(1, int(L * 0.5))
+    max_len = int(L * 1.5 + 0.999)
+    doc_fold = doc_text.casefold()
+    # casefolding may change string length (rare); fall back to raw text so
+    # offsets always index the original document
+    if len(doc_fold) != len(doc_text):
+        doc_fold = doc_text
+        c = claimed
+
+    claim_count: dict[str, int] = {}
+    for ch in c:
+        claim_count[ch] = claim_count.get(ch, 0) + 1
+
+    best_d: int | None = None
+    ties: list[tuple[int, int]] = []  # (start, length) at distance best_d
+    n = len(doc_fold)
+    for start in range(n):
+        counts: dict[str, int] = {}
+        missing = L
+        extra = 0
+        limit = min(max_len, n - start)
+        for off in range(limit):
+            ch = doc_fold[start + off]
+            have = counts.get(ch, 0)
+            if have < claim_count.get(ch, 0):
+                missing -= 1
+            else:
+                extra += 1
+            counts[ch] = have + 1
+            length = off + 1
+            if length < min_len:
+                continue
+            k_allow = int(max_norm_dist * max(length, L))
+            if best_d is not None:
+                k_allow = min(k_allow, best_d)
+            if k_allow < 0 or max(missing, extra) > k_allow:
+                continue
+            d = _lev_within(c, doc_fold[start : start + length], k_allow)
+            if d is None:
+                continue
+            if best_d is None or d < best_d:
+                best_d = d
+                ties = [(start, length)]
+            elif d == best_d:
+                ties.append((start, length))
+    if best_d is None:
+        return None
+
+    def word_aligned(start: int, length: int) -> int:
+        end = start + length
+        left = doc_text[start].isalnum() and (start == 0 or not doc_text[start - 1].isalnum())
+        right = doc_text[end - 1].isalnum() and (end == len(doc_text) or not doc_text[end].isalnum())
+        return int(left) + int(right)
+
+    start, length = min(
+        ties, key=lambda t: (-word_aligned(*t), t[0], abs(t[1] - L), t[1])
+    )
+    return TextSpan(start, start + length, doc_text[start : start + length])

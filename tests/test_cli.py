@@ -76,6 +76,23 @@ def test_score_rejects_invalid_corpus(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_corpus_load_error_names_the_file(tmp_path, capsys, gold_path):
+    pred = tmp_path / "p.jsonl"
+    pred.write_text('{"doc_id":"a"}\n')
+    code, _, err = _run(capsys, "score", "--gold", gold_path, "--pred", pred, "--out", tmp_path / "r")
+    assert code == 2
+    assert f"error: {pred} line 1: missing or empty string field 'patient_id'" in err
+
+
+def test_lone_surrogate_in_corpus_exits_2_and_writes_nothing(tmp_path, capsys):
+    corpus, out = tmp_path / "s.jsonl", tmp_path / "o.jsonl"
+    corpus.write_text('{"doc_id":"a","patient_id":"p","text":"x\\ud800y","events":[]}\n')
+    code, _, err = _run(capsys, "sample", "--corpus", corpus, "--n", 1, "--seed", 1, "--out", out)
+    assert code == 2
+    assert f"error: {corpus} line 1: 'text' cannot be written as UTF-8" in err
+    assert not out.exists()
+
+
 def test_document_text_never_on_stdout(tmp_path, capsys, gold_path):
     corpus = read_corpus_jsonl(gold_path)
     fragments = {d.document.text.splitlines()[1] for d in corpus.docs}  # encounter lines

@@ -233,6 +233,24 @@ def test_document_violations_checks_field_types():
     ]
 
 
+@pytest.mark.parametrize("key", ["doc_id", "patient_id", "text", "annotator_id"])
+def test_jsonl_loader_rejects_text_no_writer_can_encode(key):
+    obj = {"doc_id": "a", "patient_id": "p", "text": "hi", key: "x\ud800y"}
+    with pytest.raises(CorpusError, match=f"^line 1: '{key}' cannot be written as UTF-8 .* index 1"):
+        corpus_from_jsonl(json.dumps(obj))
+
+
+@pytest.mark.parametrize(
+    "event_type, args", [("Alc\udfff", {}), ("Alcohol", {"St\ud800": "past"}), ("Alcohol", {"S": "\udc00"})]
+)
+def test_jsonl_loader_rejects_event_labels_no_writer_can_encode(event_type, args):
+    trigger = {"start": 3, "end": 9, "text": "drinks"}
+    obj = {"doc_id": "a", "patient_id": "p", "text": "he drinks",
+           "events": [{"type": event_type, "trigger": trigger, "args": args}]}
+    with pytest.raises(CorpusError, match="^line 1: event 0: label .* cannot be written as UTF-8"):
+        corpus_from_jsonl(json.dumps(obj))
+
+
 def test_jsonl_records_name_the_line_and_file():
     records = list(jsonl_records('\n{"a":1}\n\n{"b":2}\n'))
     assert records == [("line 2", {"a": 1}), ("line 4", {"b": 2})]
@@ -249,6 +267,13 @@ def test_write_text_and_read_text_keep_the_bytes(tmp_path):
     write_text(path, text)
     assert path.read_bytes() == text.encode("utf-8")
     assert read_text(path) == text
+
+
+def test_write_text_that_cannot_encode_leaves_no_file(tmp_path):
+    path = tmp_path / "f.txt"
+    with pytest.raises(UnicodeEncodeError):
+        write_text(path, "x\ud800y")
+    assert not path.exists()
 
 
 def test_read_text_names_the_file_and_line_of_a_bad_byte(tmp_path):

@@ -18,6 +18,8 @@ from sdohkit.qa import RunMetrics
 from sdohkit.schema import load_schema
 from sdohkit.synth import generate_synthetic
 
+from helpers import repair_span_reference
+
 MINI = load_schema(
     """
 {
@@ -225,6 +227,59 @@ def test_repair_result_text_matches_document(schema):
             span = repair_span(mangled, d.document.text)
             if span is not None:
                 assert d.document.text[span.start:span.end] == span.text
+
+
+@pytest.mark.parametrize(
+    "claimed, doc, expected",
+    [
+        # the note's casefold is longer (ß -> ss, İ -> i + dot): raw-text offsets
+        ("Strase", "Die Straße ist lang", TextSpan(4, 10, "Straße")),
+        ("Istanbul", "born in İstanbul", TextSpan(8, 16, "İstanbul")),
+        # only the claim's casefold is longer; the note is matched casefolded
+        ("İstanbul", "born in istanbul", TextSpan(8, 16, "istanbul")),
+        # distance 1 passes only because max(len, L) = 5 for this 4-char claim
+        ("abcd", "xx abxcd yy", TextSpan(3, 8, "abxcd")),
+        # two ties at distance 1: the word-aligned one beats the smaller start
+        ("smokes dailly", "xsmokes daily. smokes daily", TextSpan(15, 27, "smokes daily")),
+        # same start, distance and alignment: the length closest to L wins, not the shorter
+        ("abcdefghiQ", "abcdefghiXY", TextSpan(0, 10, "abcdefghiX")),
+        ("", "", None),
+        ("", "anything", None),
+        ("abc", "", None),
+    ],
+)
+def test_repair_contract_edges(claimed, doc, expected):
+    assert repair_span(claimed, doc) == expected
+    assert repair_span_reference(claimed, doc) == expected
+
+
+def test_repair_long_claim_and_long_miss():
+    note = " ".join(f"word{i} lives with family and drinks socially" for i in range(90))[:4000]
+    assert len(note) == 4000
+    assert repair_span("zzqx gibberish ]] output [[ vvk", note) is None
+    # a claim wider than one 64-bit word, with three edits
+    start = note.index("word23 ")
+    end = note.index(" socially", note.index("word24 "))
+    claim = note[start:end].replace("lives", "livs") + "!"
+    assert len(claim) > 64
+    expected = repair_span_reference(claim, note)
+    assert expected == TextSpan(start, end, note[start:end])
+    assert repair_span(claim, note) == expected
+
+
+_REPAIR_ALPHABET = "abAB .,-ßİ"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.text(alphabet=_REPAIR_ALPHABET, max_size=10),
+    st.text(alphabet=_REPAIR_ALPHABET, max_size=40),
+    st.sampled_from([0.0, 0.2, 0.4]),
+)
+def test_repair_matches_reference(claimed, doc, max_norm_dist):
+    assert repair_span(claimed, doc, max_norm_dist) == repair_span_reference(
+        claimed, doc, max_norm_dist
+    )
 
 
 # --- totality / fuzz ----------------------------------------------------------------

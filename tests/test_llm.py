@@ -10,6 +10,7 @@ from sdohkit.llm import (
     HttpChatClient,
     ScriptedMockClient,
     TransportError,
+    _default_transport,
     fingerprint,
 )
 
@@ -121,6 +122,52 @@ def test_http_client_backoff_schedule(monkeypatch):
     with pytest.raises(TransportError):
         client.complete([ChatMessage("user", "q")])
     assert sleeps == [0.5, 1.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "retry_after, sleeps",
+    [
+        (None, [0.5, 1.0]),
+        (3.0, [3.0, 3.0]),  # the endpoint's wait when it is longer than the backoff
+        (0.0, [0.5, 1.0]),  # never shorter than the backoff
+        (600.0, [60.0, 60.0]),  # capped at the request timeout
+    ],
+)
+def test_http_client_honours_retry_after(monkeypatch, retry_after, sleeps):
+    monkeypatch.setenv("SDOHKIT_API_KEY", "k")
+    slept = []
+
+    def transport(url, headers, body, timeout):
+        raise TransportError("slow down", status=429, retry_after=retry_after)
+
+    client = HttpChatClient(
+        _config(max_retries=2, backoff_base=0.5, request_timeout=60.0),
+        transport=transport, sleep=slept.append,
+    )
+    with pytest.raises(TransportError):
+        client.complete([ChatMessage("user", "q")])
+    assert slept == sleeps
+
+
+@pytest.mark.parametrize(
+    "header, retry_after",
+    [("7", 7.0), (" 12 ", 12.0), (None, None), ("", None), ("soon", None), ("-1", None),
+     ("1.5", None), ("\u0662", None), ("Wed, 21 Oct 2015 07:28:00 GMT", None)],
+)
+def test_default_transport_reads_delta_seconds_retry_after(monkeypatch, header, retry_after):
+    import requests
+
+    def post(url, json, headers, timeout):
+        resp = requests.Response()
+        resp.status_code = 503
+        if header is not None:
+            resp.headers["Retry-After"] = header
+        return resp
+
+    monkeypatch.setattr(requests, "post", post)
+    with pytest.raises(TransportError) as info:
+        _default_transport("http://localhost:9/v1/chat", {}, {}, 1.0)
+    assert (info.value.status, info.value.retry_after) == (503, retry_after)
 
 
 def test_http_client_exhausts_retries(monkeypatch):
