@@ -279,8 +279,9 @@ def repair_span(claimed: str, doc_text: str, max_norm_dist: float = 0.2) -> Text
     the best distance ending at each position, and only ends within the
     largest allowed distance get a second, anchored pass of the reversed
     claim over the reversed window before them, which gives the distance
-    from every start. A miss therefore costs O(n * ceil(m / w)) big-int
-    operations for an n-char note, an m-char claim and w-bit machine words.
+    from every start. A note with no such end, the usual miss, costs
+    O(n * ceil(m / w)) big-int operations for an n-char note, an m-char
+    claim and w-bit machine words.
     """
     if not claimed:
         return None
@@ -319,8 +320,6 @@ def repair_span(claimed: str, doc_text: str, max_norm_dist: float = 0.2) -> Text
         for j, d in enumerate(_myers_distances(_char_masks(c), len(c), doc_fold, False), 1)
         if d <= k_max
     )
-    if not ends:
-        return None
     reversed_masks = _char_masks(c[::-1])
     best = k_max
     ties: list[tuple[int, int]] = []  # (start, length) at distance best
