@@ -161,7 +161,7 @@ def _read_rules(path: str | None) -> list[str] | None:
 def cmd_sections(args) -> int:
     heading_rules, social_rules = _read_rules(args.heading_rules), _read_rules(args.social_rules)
 
-    notes = list(jsonl_documents(read_text(args.notes), default_patient=True))
+    notes = list(jsonl_documents(read_text(args.notes), default_patient=True, name=args.notes))
     n_match = 0
     out_objs = []
     for adoc, _ in notes:

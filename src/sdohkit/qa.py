@@ -16,6 +16,9 @@ Four strategies are supported:
   under class constraints (zero/one/many trigger notes; three positive
   argument examples; two positives and one negative for optional arguments).
 
+The strategy is the only switch, read once by ``run_pipeline``: the step
+prompts render exactly the guideline text and worked examples they are given.
+
 Prompt layouts are fixed and machine-parseable ("Event type:", "Argument:",
 "Trigger:", "Note:" markers), which also lets the gold-oracle mock client
 answer any prompt from gold annotations for closed-loop testing.
@@ -25,24 +28,16 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, fields
+from functools import partial
 
 from .corpus import AnnotatedDocument, Corpus, Document, Event, TextSpan
 from .linearizer import InvalidRecord, ground_span, is_none_answer, parse_events, serialize_events
 from .llm import ChatMessage, Completion, TransportError
 from .schema import ArgumentDef, Schema
 
-# The prompt mode of each strategy; the single-step "event" strategy has none.
-# Every mode but "base" carries guide text, and "guide+3shot" also carries
-# three few-shot examples.
-STRATEGY_MODE = {
-    "event": None,
-    "2sqa-base": "base",
-    "2sqa-guide": "guide",
-    "2sqa-guide3shot": "guide+3shot",
-}
-STRATEGIES = tuple(STRATEGY_MODE)
-MODES = tuple(mode for mode in STRATEGY_MODE.values() if mode)
+STRATEGIES = ("event", "2sqa-base", "2sqa-guide", "2sqa-guide3shot")
 
 
 class PromptError(ValueError):
@@ -52,7 +47,6 @@ class PromptError(ValueError):
 @dataclass
 class PromptBundle:
     messages: list[ChatMessage]
-    purpose: str  # event-extraction | trigger-step | argument-step
     options: list[str] | None = None
 
 
@@ -133,28 +127,20 @@ def build_event_prompt(doc, schema: Schema, example_doc: AnnotatedDocument) -> P
         + serialize_events(example_doc.events, schema)
     )
     user = "Note:\n" + _text_of(doc)
-    return PromptBundle(
-        [ChatMessage("system", system), ChatMessage("user", user)], "event-extraction"
-    )
+    return PromptBundle([ChatMessage("system", system), ChatMessage("user", user)])
 
 
-def _step_preamble(
-    task: str, mode: str, guide_topic: str, guide_text: str | None, fewshot: FewShotSet | None
-) -> tuple[list[ChatMessage], list[FewShotExample]]:
-    """Check a step prompt's inputs against its mode; return the system
-    message and the few-shot examples the mode uses."""
-    if mode not in MODES:
-        raise PromptError(f"unknown mode {mode!r}")
-    system = task
-    if mode != "base":
-        if not guide_text:
-            raise PromptError(f"mode {mode!r} requires guide text")
-        system += f"\n\nGuideline for {guide_topic}:\n{guide_text}"
-    if mode != "guide+3shot":
-        return [ChatMessage("system", system)], []
-    if fewshot is None or len(fewshot.examples) != 3:
-        raise PromptError("mode 'guide+3shot' requires a few-shot set of size 3")
-    return [ChatMessage("system", system)], fewshot.examples
+def _step_messages(
+    task: str, guide_topic: str, guide_text: str | None, shots: list[tuple[str, str]], query: str
+) -> list[ChatMessage]:
+    """The task (plus the guideline, if given), a user/assistant pair per shot, then the query."""
+    if guide_text is not None:
+        task += f"\n\nGuideline for {guide_topic}:\n{guide_text}"
+    messages = [ChatMessage("system", task)]
+    for user, answer in shots:
+        messages += [ChatMessage("user", user), ChatMessage("assistant", answer)]
+    messages.append(ChatMessage("user", query))
+    return messages
 
 
 def _trigger_user_message(event_type: str, text: str) -> str:
@@ -164,17 +150,14 @@ def _trigger_user_message(event_type: str, text: str) -> str:
 def build_trigger_prompt(
     doc,
     event_type: str,
-    mode: str = "base",
     guide_text: str | None = None,
     fewshot: FewShotSet | None = None,
 ) -> PromptBundle:
     """Step-one prompt asking for the trigger spans of one event type."""
-    messages, shots = _step_preamble(_TRIGGER_TASK, mode, event_type, guide_text, fewshot)
-    for ex in shots:
-        messages.append(ChatMessage("user", _trigger_user_message(event_type, ex.text)))
-        messages.append(ChatMessage("assistant", ex.answer))
-    messages.append(ChatMessage("user", _trigger_user_message(event_type, _text_of(doc))))
-    return PromptBundle(messages, "trigger-step")
+    examples = fewshot.examples if fewshot is not None else []
+    shots = [(_trigger_user_message(event_type, ex.text), ex.answer) for ex in examples]
+    query = _trigger_user_message(event_type, _text_of(doc))
+    return PromptBundle(_step_messages(_TRIGGER_TASK, event_type, guide_text, shots, query))
 
 
 def _argument_user_message(
@@ -195,7 +178,6 @@ def build_argument_prompt(
     trigger: TextSpan,
     argument: ArgumentDef,
     schema: Schema,
-    mode: str = "base",
     guide_text: str | None = None,
     fewshot: FewShotSet | None = None,
 ) -> PromptBundle:
@@ -204,31 +186,20 @@ def build_argument_prompt(
     Options are the argument's subtypes in schema order, with "none"
     appended exactly when the argument is optional.
     """
-    messages, shots = _step_preamble(
-        _ARGUMENT_TASK, mode, f"{event_type}.{argument.name}", guide_text, fewshot
-    )
     et = schema.event_type(event_type)
     if et is None or et.argument(argument.name) != argument:
         raise PromptError(f"argument {argument.name!r} does not belong to {event_type!r}")
     options = list(argument.subtypes)
     if not argument.required and "none" not in options:
         options.append("none")
-    for ex in shots:
-        if ex.trigger is None:
-            raise PromptError("argument few-shot examples must carry a trigger")
-        messages.append(
-            ChatMessage(
-                "user",
-                _argument_user_message(event_type, argument.name, ex.trigger, options, ex.text),
-            )
-        )
-        messages.append(ChatMessage("assistant", ex.answer))
-    messages.append(
-        ChatMessage(
-            "user", _argument_user_message(event_type, argument.name, trigger, options, _text_of(doc))
-        )
-    )
-    return PromptBundle(messages, "argument-step", options=options)
+    examples = fewshot.examples if fewshot is not None else []
+    if any(ex.trigger is None for ex in examples):
+        raise PromptError("argument few-shot examples must carry a trigger")
+    ask = partial(_argument_user_message, event_type, argument.name)
+    shots = [(ask(ex.trigger, options, ex.text), ex.answer) for ex in examples]
+    query = ask(trigger, options, _text_of(doc))
+    topic = f"{event_type}.{argument.name}"
+    return PromptBundle(_step_messages(_ARGUMENT_TASK, topic, guide_text, shots, query), options)
 
 
 # --- response parsing ---------------------------------------------------------
@@ -533,6 +504,8 @@ class NonsenseClient:
 
 @dataclass
 class RunMetrics:
+    """One document's tally, or a run's: the sum of its documents' tallies."""
+
     strategy: str
     seed: int
     n_docs: int = 0
@@ -542,11 +515,16 @@ class RunMetrics:
     retries_total: int = 0
     failures: list[str] = field(default_factory=list)
     trigger_valid: int = 0
-    trigger_invalid: dict[str, int] = field(default_factory=dict)
+    trigger_invalid: Counter[str] = field(default_factory=Counter)
     argument_valid: int = 0
-    argument_invalid: dict[str, int] = field(default_factory=dict)
+    argument_invalid: Counter[str] = field(default_factory=Counter)
     events_dropped_missing_required: int = 0
     repaired_spans: int = 0
+
+    def add(self, other: RunMetrics) -> None:
+        """Add another tally into this one; strategy and seed stay."""
+        for f in fields(self)[2:]:
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     def _level_obj(self, valid: int, invalid: dict[str, int]) -> dict:
         n_invalid = sum(invalid.values())
@@ -579,10 +557,78 @@ class RunMetrics:
         }
 
 
-def _count_reasons(metrics_dict: dict[str, int], records: list[InvalidRecord], level: str) -> None:
-    for r in records:
-        if r.level == level:
-            metrics_dict[r.reason] = metrics_dict.get(r.reason, 0) + 1
+def _ask(client, bundle: PromptBundle, tally: RunMetrics) -> str:
+    """Send one query. It is counted before the call, so a failed one counts."""
+    tally.queries_total += 1
+    completion = client.complete(bundle.messages)
+    tally.retries_total += getattr(completion, "retries", 0)
+    return completion.text
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """What a strategy fixes for every document of a run. Each step extracts
+    one document into that document's own tally and touches nothing shared."""
+
+    schema: Schema
+    seed: int
+    repair: bool
+    guide: dict[str, str]  # {} when the strategy carries no guideline
+    train: Corpus | None  # the few-shot pool; None when the strategy uses none
+    examples: list[AnnotatedDocument]  # the single-step illustrations
+
+    def _fewshot(self, doc: Document, target, kind: str) -> FewShotSet | None:
+        if self.train is None:
+            return None
+        return sample_fewshot(self.train, target, kind, f"{self.seed}:{doc.doc_id}")
+
+    def event_step(self, doc: Document, client, tally: RunMetrics) -> list[Event]:
+        rng = random.Random(f"event-example:{self.seed}:{doc.doc_id}")
+        bundle = build_event_prompt(doc, self.schema, rng.choice(self.examples))
+        outcome = parse_events(_ask(client, bundle, tally), doc.text, self.schema, self.repair)
+        tally.trigger_valid += len(outcome.events)
+        tally.argument_valid += sum(len(e.arguments) for e in outcome.events)
+        records = outcome.invalid_records
+        tally.trigger_invalid.update(r.reason for r in records if r.level == "trigger")
+        tally.argument_invalid.update(r.reason for r in records if r.level == "argument")
+        tally.repaired_spans += outcome.repaired_count
+        return list(outcome.events)
+
+    def two_step(self, doc: Document, client, tally: RunMetrics) -> list[Event]:
+        events: list[Event] = []
+        for et in self.schema.event_types:
+            fewshot = self._fewshot(doc, et.name, "trigger")
+            bundle = build_trigger_prompt(doc, et.name, self.guide.get(et.name), fewshot)
+            tally.queries_step1 += 1
+            text = _ask(client, bundle, tally)
+            triggers, records, n_repaired = parse_trigger_response(text, doc.text, self.repair)
+            tally.trigger_valid += len(triggers)
+            tally.repaired_spans += n_repaired
+            tally.trigger_invalid.update(r.reason for r in records)
+
+            for trigger in triggers:
+                arguments: dict[str, str] = {}
+                for adef in et.arguments:
+                    kind = "required-arg" if adef.required else "optional-arg"
+                    fewshot = self._fewshot(doc, (et.name, adef.name), kind)
+                    guide_text = self.guide.get(f"{et.name}.{adef.name}")
+                    bundle = build_argument_prompt(
+                        doc, et.name, trigger, adef, self.schema, guide_text, fewshot
+                    )
+                    tally.queries_step2 += 1
+                    choice = parse_argument_response(_ask(client, bundle, tally), bundle.options)
+                    if choice is not None:
+                        tally.argument_valid += 1
+                        if choice != "none" or adef.required:
+                            arguments[adef.name] = choice
+                        continue
+                    tally.argument_invalid["unparseable"] += 1
+                    if adef.required:
+                        tally.events_dropped_missing_required += 1
+                        break
+                else:
+                    events.append(Event(et.name, trigger, arguments))
+        return events
 
 
 def run_pipeline(
@@ -599,125 +645,44 @@ def run_pipeline(
 
     Returns the prediction corpus (every input document appears; failed
     documents come back empty and are listed in the metrics) and run
-    metrics. Few-shot examples and the single-step illustration are
-    resampled per query with randomness derived from (seed, doc_id, target),
-    so runs are deterministic for a deterministic client.
+    metrics, the document-order sum of each document's tally. Few-shot
+    examples and the single-step illustration are resampled per query with
+    randomness derived from (seed, doc_id, target), so runs are
+    deterministic for a deterministic client.
     """
-    if strategy not in STRATEGY_MODE:
+    if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    mode = STRATEGY_MODE[strategy]
-    if mode in (None, "guide+3shot") and train is None:
+    if strategy in ("event", "2sqa-guide3shot") and train is None:
         raise PromptError(f"strategy {strategy!r} requires a train corpus")
-    if mode not in (None, "base"):
-        missing = check_guide_coverage(guide or {}, schema)
-        if missing:
-            raise PromptError(f"guide file missing entries: {', '.join(missing[:5])}")
+    guided = strategy in ("2sqa-guide", "2sqa-guide3shot")
+    guide = (guide or {}) if guided else {}
+    missing = check_guide_coverage(guide, schema) if guided else []
+    if missing:
+        raise PromptError(f"guide file missing entries: {', '.join(missing[:5])}")
 
-    example_pool: list[AnnotatedDocument] = []
-    if mode is None:
-        example_pool = sorted(
-            (d for d in train.docs if d.events), key=lambda d: d.doc_id
-        )
-        if not example_pool:
+    examples: list[AnnotatedDocument] = []
+    if strategy == "event":
+        examples = sorted((d for d in train.docs if d.events), key=lambda d: d.doc_id)
+        if not examples:
             raise PromptError("train corpus has no documents with events")
+    fewshot_pool = train if strategy == "2sqa-guide3shot" else None
+    plan = _Plan(schema, seed, repair, guide, fewshot_pool, examples)
+    step = plan.event_step if strategy == "event" else plan.two_step
 
-    metrics = RunMetrics(strategy, seed, n_docs=len(corpus.docs))
-
-    def call(bundle: PromptBundle) -> Completion:
-        metrics.queries_total += 1
-        if bundle.purpose == "trigger-step":
-            metrics.queries_step1 += 1
-        elif bundle.purpose == "argument-step":
-            metrics.queries_step2 += 1
-        completion = client.complete(bundle.messages)
-        metrics.retries_total += getattr(completion, "retries", 0)
-        return completion
-
+    metrics = RunMetrics(strategy, seed)
     pred_docs = []
     for adoc in corpus.docs:
         doc = adoc.document
+        tally = RunMetrics(strategy, seed, n_docs=1)
         try:
-            if mode is None:
-                events = _run_event_doc(doc, schema, call, metrics, example_pool, seed, repair)
-            else:
-                events = _run_2sqa_doc(
-                    doc, schema, call, metrics, mode, guide, train, seed, repair
-                )
+            events = step(doc, client, tally)
         except TransportError:
-            metrics.failures.append(doc.doc_id)
+            tally.failures.append(doc.doc_id)
             events = []
+        metrics.add(tally)
         events.sort(key=lambda e: (e.trigger.start, e.trigger.end, e.event_type))
         pred_docs.append(AnnotatedDocument(doc, events))
     return Corpus(pred_docs), metrics
-
-
-def _run_event_doc(doc, schema, call, metrics, example_pool, seed, repair) -> list[Event]:
-    rng = random.Random(f"event-example:{seed}:{doc.doc_id}")
-    example = rng.choice(example_pool)
-    bundle = build_event_prompt(doc, schema, example)
-    completion = call(bundle)
-    outcome = parse_events(completion.text, doc.text, schema, repair)
-    metrics.trigger_valid += len(outcome.events)
-    metrics.argument_valid += sum(len(e.arguments) for e in outcome.events)
-    _count_reasons(metrics.trigger_invalid, outcome.invalid_records, "trigger")
-    _count_reasons(metrics.argument_invalid, outcome.invalid_records, "argument")
-    metrics.repaired_spans += outcome.repaired_count
-    return list(outcome.events)
-
-
-def _run_2sqa_doc(doc, schema, call, metrics, mode, guide, train, seed, repair) -> list[Event]:
-    guide = guide or {}
-    events: list[Event] = []
-    for et in schema.event_types:
-        fewshot = None
-        if mode == "guide+3shot":
-            fewshot = sample_fewshot(train, et.name, "trigger", f"{seed}:{doc.doc_id}")
-        bundle = build_trigger_prompt(doc, et.name, mode, guide.get(et.name), fewshot)
-        completion = call(bundle)
-        triggers, records, n_repaired = parse_trigger_response(completion.text, doc.text, repair)
-        metrics.trigger_valid += len(triggers)
-        metrics.repaired_spans += n_repaired
-        _count_reasons(metrics.trigger_invalid, records, "trigger")
-
-        for trigger in triggers:
-            arguments: dict[str, str] = {}
-            dropped = False
-            for adef in et.arguments:
-                kind = "required-arg" if adef.required else "optional-arg"
-                fs = None
-                if mode == "guide+3shot":
-                    fs = sample_fewshot(
-                        train, (et.name, adef.name), kind, f"{seed}:{doc.doc_id}"
-                    )
-                bundle = build_argument_prompt(
-                    doc,
-                    et.name,
-                    trigger,
-                    adef,
-                    schema,
-                    mode,
-                    guide.get(f"{et.name}.{adef.name}"),
-                    fs,
-                )
-                completion = call(bundle)
-                choice = parse_argument_response(completion.text, bundle.options)
-                if choice is None:
-                    metrics.argument_invalid["unparseable"] = (
-                        metrics.argument_invalid.get("unparseable", 0) + 1
-                    )
-                    if adef.required:
-                        dropped = True
-                        break
-                    continue
-                metrics.argument_valid += 1
-                if choice == "none" and not adef.required:
-                    continue
-                arguments[adef.name] = choice
-            if dropped:
-                metrics.events_dropped_missing_required += 1
-                continue
-            events.append(Event(et.name, trigger, arguments))
-    return events
 
 
 # --- fine-tuning export -----------------------------------------------------------

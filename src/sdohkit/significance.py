@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus
-from .scoring import _key_str, per_document_counts, precision_recall_f1
+from .scoring import ScoringError, _key_str, per_document_counts, precision_recall_f1
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,10 @@ def bootstrap_test(
     """Paired document-level bootstrap of F1(A) - F1(B).
 
     ``key=None`` tests the micro average at the given level; otherwise the
-    named event type (or (event type, argument) pair at argument level).
+    named event type (or (event type, argument) pair at argument level). A
+    key of the wrong shape for the level, or one that occurs in no gold or
+    predicted event at that level, raises ``ScoringError``: it would
+    otherwise read as "no difference".
     """
     if n_resamples < 1:
         raise ValueError("n_resamples must be >= 1")
@@ -73,12 +76,19 @@ def bootstrap_test(
     n_docs = len(doc_ids)
     if n_docs == 0:
         raise ValueError("cannot bootstrap an empty corpus")
+    key_str = _key_str(key)
+    if key is not None and isinstance(key, tuple) != (level == "argument"):
+        want = "EventType.Argument" if level == "argument" else "an event type"
+        raise ScoringError(f"key {key_str!r} does not fit the {level} level, which takes {want}")
+    if key is not None and not (counts_a.any() or counts_b.any()):
+        raise ScoringError(
+            f"key {key_str!r} occurs in no gold or predicted event at the {level} level"
+        )
 
     f1_a = precision_recall_f1(*counts_a.sum(axis=0))[2]
     f1_b = precision_recall_f1(*counts_b.sum(axis=0))[2]
     delta = f1_a - f1_b
 
-    key_str = _key_str(key)
     if delta <= 0:
         return BootstrapResult(delta, 1.0, n_resamples, seed, level, key_str, f1_a, f1_b)
 

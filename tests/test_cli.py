@@ -127,6 +127,38 @@ def test_significance_identical_predictions(tmp_path, capsys, gold_path):
     assert obj["p_value"] == 1.0
 
 
+@pytest.mark.parametrize(
+    "level, key, message",
+    [
+        ("trigger", "Alcoholl", "key 'Alcoholl' occurs in no gold or predicted event"),
+        ("trigger", "Alcohol.Status", "key 'Alcohol.Status' does not fit the trigger level"),
+        ("argument", "Alcohol", "key 'Alcohol' does not fit the argument level"),
+    ],
+)
+def test_significance_rejects_a_key_that_names_nothing(tmp_path, capsys, gold_path, level, key,
+                                                       message):
+    out = tmp_path / "boot.json"
+    code, stdout, err = _run(
+        capsys,
+        "significance", "--gold", gold_path, "--pred-a", gold_path, "--pred-b", gold_path,
+        "--level", level, "--key", key, "--resamples", 10, "--seed", 1, "--out", out,
+    )
+    assert (code, stdout) == (2, "")
+    assert f"error: {message}" in err
+    assert not out.exists()
+
+
+def test_significance_valid_key_with_equal_counts(tmp_path, capsys, gold_path):
+    out = tmp_path / "boot.json"
+    code, _, _ = _run(
+        capsys,
+        "significance", "--gold", gold_path, "--pred-a", gold_path, "--pred-b", gold_path,
+        "--key", "Alcohol", "--resamples", 10, "--seed", 1, "--out", out,
+    )
+    assert code == 0
+    assert json.loads(out.read_text())["p_value"] == 1.0
+
+
 def test_sections_command(tmp_path, capsys):
     notes = tmp_path / "notes.jsonl"
     notes.write_text(
@@ -429,7 +461,7 @@ def test_sections_rejects_bad_notes_lines(tmp_path, capsys, note, message):
             capsys, "sections", "--notes", notes, "--emit", emit, "--out", tmp_path / "o.jsonl"
         )
         assert code == 2
-        assert f"error: {message}" in err
+        assert f"error: {notes} {message}" in err
 
 
 def test_sections_rejects_repeated_doc_id(tmp_path, capsys):
@@ -440,7 +472,7 @@ def test_sections_rejects_repeated_doc_id(tmp_path, capsys):
         capsys, "sections", "--notes", notes, "--emit", "corpus", "--out", tmp_path / "o"
     )
     assert code == 2
-    assert "error: line 2: duplicate doc_id 'n1'" in err
+    assert f"error: {notes} line 2: duplicate doc_id 'n1'" in err
 
 
 def test_sections_null_patient_id_defaults_to_doc_id(tmp_path, capsys):

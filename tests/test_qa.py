@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +16,7 @@ from sdohkit.qa import (
     GoldOracleClient,
     NonsenseClient,
     PromptError,
+    RunMetrics,
     build_argument_prompt,
     build_event_prompt,
     build_trigger_prompt,
@@ -85,17 +90,15 @@ def test_trigger_prompt_base(schema, corpus):
 
 
 def test_trigger_prompt_guide(corpus, guide):
-    bundle = build_trigger_prompt(corpus.docs[0], "Alcohol", "guide", guide["Alcohol"])
+    bundle = build_trigger_prompt(corpus.docs[0], "Alcohol", guide["Alcohol"])
     assert guide["Alcohol"] in bundle.messages[0].content
-    with pytest.raises(PromptError):
-        build_trigger_prompt(corpus.docs[0], "Alcohol", "guide")
+    plain = build_trigger_prompt(corpus.docs[0], "Alcohol")
+    assert "Guideline" not in plain.messages[0].content
 
 
 def test_trigger_prompt_fewshot_message_count(corpus, train, guide):
     fewshot = sample_fewshot(train, "Alcohol", "trigger", 7)
-    bundle = build_trigger_prompt(
-        corpus.docs[0], "Alcohol", "guide+3shot", guide["Alcohol"], fewshot
-    )
+    bundle = build_trigger_prompt(corpus.docs[0], "Alcohol", guide["Alcohol"], fewshot)
     assert len(bundle.messages) == 8
     roles = [m.role for m in bundle.messages]
     assert roles == ["system", "user", "assistant", "user", "assistant", "user", "assistant", "user"]
@@ -155,30 +158,39 @@ def test_argument_prompt_requires_membership(schema, corpus):
         build_argument_prompt(doc, "LivingArrangement", TextSpan(0, 3, "Pat"), status, schema)
 
 
-def test_step_prompts_reject_inputs_their_mode_needs(schema, corpus, train):
+def test_step_prompts_render_exactly_the_guide_and_examples_given(schema, corpus, train):
     doc = corpus.docs[0]
     status = schema.event_type("Alcohol").argument("Status")
     trigger = TextSpan(0, 3, doc.document.text[:3])
     trig_shots = sample_fewshot(train, "Alcohol", "trigger", 1)
     arg_shots = sample_fewshot(train, ("Alcohol", "Status"), "required-arg", 1)
-    short = FewShotSet(trig_shots.examples[:2], "too-few")
     builders = [
         lambda *a: build_trigger_prompt(doc, "Alcohol", *a),
         lambda *a: build_argument_prompt(doc, "Alcohol", trigger, status, schema, *a),
     ]
     for build, shots in zip(builders, (trig_shots, arg_shots)):
-        with pytest.raises(PromptError, match="^unknown mode 'fancy'$"):
-            build("fancy")
-        with pytest.raises(PromptError, match="^mode 'guide' requires guide text$"):
-            build("guide", "")
-        with pytest.raises(PromptError, match="^mode 'guide\\+3shot' requires guide text$"):
-            build("guide+3shot", None, shots)
-        for fewshot in (None, short):
-            with pytest.raises(PromptError, match="few-shot set of size 3$"):
-                build("guide+3shot", "some guide", fewshot)
-        assert len(build("guide+3shot", "some guide", shots).messages) == 8
-        # Base and guide modes ignore a few-shot set.
-        assert len(build("guide", "some guide", shots).messages) == 2
+        for guide_text in (None, "some guide"):
+            for k in range(len(shots.examples) + 1):
+                fewshot = FewShotSet(shots.examples[:k], "first-k") if k else None
+                messages = build(guide_text, fewshot).messages
+                system = messages[0].content
+                assert ("Guideline for" in system) == (guide_text is not None)
+                assert system.endswith(f":\n{guide_text}") == (guide_text is not None)
+                assert [m.role for m in messages] == (
+                    ["system"] + ["user", "assistant"] * k + ["user"]
+                )
+                answers = [m.content for m in messages if m.role == "assistant"]
+                assert answers == [ex.answer for ex in shots.examples[:k]]
+
+
+def test_argument_prompt_rejects_example_without_trigger(schema, corpus, train):
+    doc = corpus.docs[0]
+    status = schema.event_type("Alcohol").argument("Status")
+    untriggered = FewShotSet(sample_fewshot(train, "Alcohol", "trigger", 1).examples, "trigger")
+    with pytest.raises(PromptError, match="^argument few-shot examples must carry a trigger$"):
+        build_argument_prompt(
+            doc, "Alcohol", TextSpan(0, 3, doc.document.text[:3]), status, schema, None, untriggered
+        )
 
 
 def test_argument_prompt_quotes_trigger(schema, corpus):
@@ -452,6 +464,88 @@ def test_pipeline_query_counters_agree_when_documents_fail(schema, corpus):
     _, metrics = run_pipeline(five, schema, client, "2sqa-base", seed=1)
     assert metrics.failures
     assert metrics.queries_total == metrics.queries_step1 + metrics.queries_step2 == client.calls
+
+
+def test_pipeline_failing_run_metrics_are_exact(schema, corpus):
+    class EverySeventhCallFails:
+        def __init__(self, inner):
+            self.inner, self.calls = inner, 0
+
+        def complete(self, messages):
+            self.calls += 1
+            if self.calls % 7 == 0:
+                raise TransportError("boom")
+            return self.inner.complete(messages)
+
+    five = Corpus(corpus.docs[:5])
+    client = EverySeventhCallFails(GoldOracleClient(five, schema))
+    _, metrics = run_pipeline(five, schema, client, "2sqa-base", seed=1)
+    empty = {"total": 0, "invalid": 0, "rate": 0.0, "by_reason": {}}
+    assert metrics.to_obj() == {
+        "strategy": "2sqa-base",
+        "seed": 1,
+        "n_docs": 5,
+        "queries": {"total": 35, "step1": 31, "step2": 4},
+        "retries_total": 0,
+        "failures": [d.doc_id for d in five.docs],
+        # What the failed documents parsed before their failing query.
+        "invalid_rates": {"trigger": {**empty, "total": 4}, "argument": {**empty, "total": 4}},
+        "events_dropped_missing_required": 0,
+        "repaired_spans": 0,
+    }
+
+
+class _ContentKeyedClient:
+    """Oracle front that fails, answers nonsense, retries and upper-cases
+    triggers by a sha256 of the last message, so a query's fate does not
+    depend on call order."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+
+    def complete(self, messages):
+        last = messages[-1].content
+        digest = hashlib.sha256(last.encode("utf-8")).digest()
+        if digest[0] % 13 == 0:
+            raise TransportError("boom")
+        if digest[0] % 13 == 1:
+            return Completion("zzqx gibberish", retries=1)
+        text = self.oracle.complete(messages).text
+        if last.startswith("Event type:") and "\nArgument:" not in last:
+            text = text.upper()
+        elif not last.startswith("Event type:"):
+            text = re.sub(r"\[[^\]]*\]", lambda m: m.group(0).upper(), text)
+        return Completion(text, retries=digest[1] % 3)
+
+
+def _fold_metrics(parts, strategy, seed):
+    total = RunMetrics(strategy, seed)
+    for part in parts:
+        for f in dataclasses.fields(RunMetrics):
+            value = getattr(part, f.name)
+            if isinstance(value, dict):
+                acc = getattr(total, f.name)
+                for k, v in value.items():
+                    acc[k] = acc.get(k, 0) + v
+            elif isinstance(value, list):
+                getattr(total, f.name).extend(value)
+            elif f.name not in ("strategy", "seed"):
+                setattr(total, f.name, getattr(total, f.name) + value)
+    return total
+
+
+@pytest.mark.parametrize("strategy", ["event", "2sqa-base", "2sqa-guide3shot"])
+def test_run_metrics_are_the_fold_of_single_document_runs(schema, corpus, train, guide, strategy):
+    client = _ContentKeyedClient(GoldOracleClient(corpus, schema))
+    kw = dict(seed=4, train=train, guide=guide)
+    pred, metrics = run_pipeline(corpus, schema, client, strategy, **kw)
+    singles = [run_pipeline(Corpus([d]), schema, client, strategy, **kw) for d in corpus.docs]
+    assert [d.events for d in pred.docs] == [p.docs[0].events for p, _ in singles]
+    obj = metrics.to_obj()
+    assert obj == _fold_metrics([m for _, m in singles], strategy, 4).to_obj()
+    assert 0 < len(obj["failures"]) < len(corpus.docs)
+    assert obj["retries_total"] > 0 and obj["repaired_spans"] > 0
+    assert obj["invalid_rates"]["trigger"]["invalid"] > 0
 
 
 class _UpperCaseTriggers:

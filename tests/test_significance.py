@@ -4,6 +4,7 @@ import pytest
 
 from helpers import as_pred_corpus, perturb_events
 from sdohkit.corpus import AnnotatedDocument, Corpus
+from sdohkit.scoring import ScoringError
 from sdohkit.significance import bootstrap_test
 from sdohkit.synth import generate_synthetic
 
@@ -114,3 +115,33 @@ def test_cached_counts_equals_rescoring_from_scratch(schema):
         if delta > 0:
             matched_positive += 1
     assert matched_positive > 0  # the comparison must exercise real resampling
+
+
+@pytest.mark.parametrize(
+    "level, key, message",
+    [
+        ("trigger", "Alcoholl", "occurs in no gold or predicted event at the trigger level"),
+        ("argument", ("Alcohol", "Statuss"), "occurs in no gold or predicted event"),
+        ("trigger", ("Alcohol", "Status"), "does not fit the trigger level"),
+        ("event", ("Alcohol", "Status"), "does not fit the event level"),
+        ("argument", "Alcohol", "does not fit the argument level"),
+    ],
+)
+def test_key_that_names_nothing_at_its_level_is_an_error(schema, level, key, message):
+    gold = generate_synthetic(schema, 30, 109)
+    with pytest.raises(ScoringError, match=message):
+        bootstrap_test(gold, _perfect(gold), _empty(gold), level, key, n_resamples=10, seed=0)
+
+
+def test_key_seen_only_in_predictions_is_tested(schema):
+    gold = generate_synthetic(schema, 30, 109)
+    r = bootstrap_test(_empty(gold), _perfect(gold), _empty(gold), "trigger", "Alcohol",
+                       n_resamples=10, seed=0)
+    assert r.key == "Alcohol" and r.f1_a == r.f1_b == 0.0
+
+
+@pytest.mark.parametrize("level, key", [("trigger", "Alcohol"), ("argument", ("Alcohol", "Status"))])
+def test_valid_key_with_equal_counts_gives_p_one(schema, level, key):
+    gold = generate_synthetic(schema, 30, 109)
+    r = bootstrap_test(gold, _perfect(gold), _perfect(gold), level, key, n_resamples=10, seed=0)
+    assert r.p_value == 1.0
