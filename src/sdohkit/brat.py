@@ -25,7 +25,8 @@ class AnnFormatError(ValueError):
 
 # A tab or line break (any that str.splitlines breaks at) inside a trigger
 # would split its T line, so the T text field carries a space in its place.
-_FIELD_SAFE = str.maketrans(dict.fromkeys("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029", " "))
+_BREAKS = "\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_FIELD_SAFE = str.maketrans(dict.fromkeys(_BREAKS, " "))
 
 
 def parse_ann(
@@ -151,8 +152,8 @@ def write_ann(events: list[Event], doc_text: str) -> str:
     A tab or line break inside a trigger appears as a space in the T line's
     text field; the offsets still index the document exactly. So
     ``parse_ann(write_ann(events, text), text)`` reproduces the events
-    exactly and warning-free for any events ``document_violations`` accepts
-    whose labels and argument values hold no whitespace other than spaces.
+    exactly and warning-free for any events that ``document_violations``
+    and ``_label_violations`` accept.
     """
     lines = []
     attr_n = 0
@@ -172,6 +173,21 @@ def write_ann(events: list[Event], doc_text: str) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _label_violations(events: list[Event]) -> list[str]:
+    """Labels no standoff line can carry: the T line splits "Label start end"
+    at spaces, the E line "Label:Tref" at its first ':', the A line
+    "Name Eref Value" at its first two spaces, and a tab or line break ends
+    a field or a line."""
+    out = []
+    for i, ev in enumerate(events):
+        labels = [("event type", ev.event_type, _BREAKS + " :")]
+        labels += [("argument name", name, _BREAKS + " ") for name in ev.arguments]
+        labels += [("argument value", value, _BREAKS) for value in ev.arguments.values()]
+        out += [f"event {i}: {what} {label!r} cannot be written to a standoff line"
+                for what, label, bad in labels if any(c in bad for c in label)]
+    return out
+
+
 # --- directory import/export ------------------------------------------------
 
 _META_FILE = "metadata.jsonl"
@@ -184,10 +200,11 @@ def export_brat_dir(corpus: Corpus, dirpath) -> None:
     The sidecar preserves patient ids, note dates, annotator ids, and split
     assignments, which the standoff files themselves cannot carry; its lines
     are corpus lines without text and events, with an explicit null split.
-    Every document is checked before anything is written.
+    Every document, and every label against ``_label_violations``, is
+    checked before anything is written.
     """
     for adoc in corpus.docs:
-        problems = document_violations(adoc)
+        problems = document_violations(adoc) or _label_violations(adoc.events)
         if problems:
             raise AnnFormatError(f"{adoc.doc_id}: " + "; ".join(problems))
     os.makedirs(dirpath, exist_ok=True)

@@ -122,11 +122,7 @@ def cmd_iaa(args) -> int:
         "trigger_micro_f1": iaa.trigger_micro_f1,
         "argument_micro_f1": iaa.argument_micro_f1,
         "combined_micro_f1": iaa.combined_micro_f1,
-        "combined_counts": {
-            "tp": iaa.combined_counts.tp,
-            "fp": iaa.combined_counts.fp,
-            "fn": iaa.combined_counts.fn,
-        },
+        "combined_counts": asdict(iaa.combined_counts),
         "report": iaa.report.to_obj(),
     }
     _write_json(obj, f"{args.out}.json")
@@ -139,9 +135,9 @@ def cmd_significance(args) -> int:
     gold = read_corpus_jsonl(args.gold)
     pred_a = read_corpus_jsonl(args.pred_a)
     pred_b = read_corpus_jsonl(args.pred_b)
-    key = None
-    if args.key:
-        key = tuple(args.key.split(".", 1)) if "." in args.key else args.key
+    key = args.key or None
+    if key and args.level == "argument" and "." in key:
+        key = tuple(key.split(".", 1))
     result = bootstrap_test(
         gold, pred_a, pred_b, level=args.level, key=key, n_resamples=args.resamples, seed=args.seed
     )

@@ -190,7 +190,7 @@ def build_argument_prompt(
     if et is None or et.argument(argument.name) != argument:
         raise PromptError(f"argument {argument.name!r} does not belong to {event_type!r}")
     options = list(argument.subtypes)
-    if not argument.required and "none" not in options:
+    if not argument.required:
         options.append("none")
     examples = fewshot.examples if fewshot is not None else []
     if any(ex.trigger is None for ex in examples):
@@ -368,7 +368,7 @@ def sample_fewshot(train: Corpus, target, kind: str, seed) -> FewShotSet:
 
 # --- guide files ---------------------------------------------------------------
 
-_GUIDE_HEADER_RE = re.compile(r"^\[([A-Za-z0-9_.\-]+)\]\s*$")
+_GUIDE_HEADER_RE = re.compile(r"^\[(\S+)\]\s*$")
 
 
 def parse_guide_file(text: str) -> dict[str, str]:

@@ -42,13 +42,18 @@ class ArgumentDef:
         _check_identifier(self.name, "argument")
         if not self.subtypes:
             raise SchemaError(f"argument {self.name!r} has an empty subtype list")
+        # Answers are matched to subtypes casefolded, and "none" is the answer
+        # for an absent optional argument, so neither may be ambiguous.
         seen = set()
         for s in self.subtypes:
             if not isinstance(s, str) or not s:
                 raise SchemaError(f"argument {self.name!r} has an empty subtype label")
-            if s in seen:
-                raise SchemaError(f"argument {self.name!r} has duplicate subtype {s!r}")
-            seen.add(s)
+            if s.casefold() in seen:
+                raise SchemaError(f"argument {self.name!r} has duplicate subtype {s!r} (casefolded)")
+            if not self.required and s.casefold() == "none":
+                raise SchemaError(f"optional argument {self.name!r} cannot have subtype {s!r}, "
+                                  "which reads as the answer 'none' (argument absent)")
+            seen.add(s.casefold())
 
 
 @dataclass(frozen=True)
@@ -130,8 +135,11 @@ def load_schema(source: str) -> Schema:
         name = obj.get("name")
         if not isinstance(name, str):
             raise SchemaError("event type missing string 'name'")
+        raw_args = obj.get("arguments", [])
+        if not isinstance(raw_args, list):
+            raise SchemaError(f"event type {name!r}: 'arguments' must be a list")
         args = []
-        for a in obj.get("arguments", []):
+        for a in raw_args:
             if not isinstance(a, dict):
                 raise SchemaError(f"event type {name!r}: arguments must be objects")
             if not isinstance(a.get("name"), str):

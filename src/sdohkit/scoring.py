@@ -17,11 +17,18 @@ Level definitions, given the trigger matching:
   gold arguments not recovered that way are FN.
 * event: a prediction is TP only when its trigger is matched and its whole
   argument map equals the gold event's, optional arguments included.
+
+Within one document, keys enter each level's table in a fixed order: at the
+trigger level matched events, then unmatched gold, then unmatched
+predictions; at the argument and event levels predictions, then gold.
+``aggregate`` sums the macro averages in the order it first meets each key,
+so another order changes those float sums in the last digit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import asdict, dataclass, field
 
 from .corpus import Corpus, Event
 from .schema import Schema
@@ -103,58 +110,41 @@ def match_triggers(gold: list[Event], pred: list[Event]) -> list[TriggerMatch]:
 # (event type, argument name) for argument.
 DocCounts = dict  # level -> {key -> Counts}
 
-
-def _bump(table: dict, key, tp=0, fp=0, fn=0) -> None:
-    c = table.get(key, Counts())
-    table[key] = c + Counts(tp, fp, fn)
+_TP, _FP, _FN = range(3)
 
 
 def score_document(gold: list[Event], pred: list[Event]) -> DocCounts:
     """Counts at all three levels for one document."""
     matches = match_triggers(gold, pred)
-    by_gold = {m.gold_index: m for m in matches}
-    by_pred = {m.pred_index: m for m in matches}
-
-    trigger: dict[str, Counts] = {}
-    argument: dict[tuple[str, str], Counts] = {}
-    event: dict[str, Counts] = {}
+    gold_of = {m.pred_index: gold[m.gold_index] for m in matches}
+    pred_of = {m.gold_index: pred[m.pred_index] for m in matches}
+    # key -> [tp, fp, fn] per level
+    trigger, argument, event = (defaultdict(lambda: [0, 0, 0]) for _ in LEVELS)
 
     for m in matches:
-        _bump(trigger, gold[m.gold_index].event_type, tp=1)
+        trigger[gold[m.gold_index].event_type][_TP] += 1
     for gi, g in enumerate(gold):
-        if gi not in by_gold:
-            _bump(trigger, g.event_type, fn=1)
+        if gi not in pred_of:
+            trigger[g.event_type][_FN] += 1
     for pi, p in enumerate(pred):
-        if pi not in by_pred:
-            _bump(trigger, p.event_type, fp=1)
-
-    for pi, p in enumerate(pred):
-        m = by_pred.get(pi)
-        g = gold[m.gold_index] if m else None
+        g = gold_of.get(pi)
+        if g is None:
+            trigger[p.event_type][_FP] += 1
         for name, subtype in p.arguments.items():
-            if g is not None and g.arguments.get(name) == subtype:
-                _bump(argument, (p.event_type, name), tp=1)
-            else:
-                _bump(argument, (p.event_type, name), fp=1)
+            agrees = g is not None and g.arguments.get(name) == subtype
+            argument[(p.event_type, name)][_TP if agrees else _FP] += 1
+        exact = g is not None and g.arguments == p.arguments
+        event[p.event_type][_TP if exact else _FP] += 1
     for gi, g in enumerate(gold):
-        m = by_gold.get(gi)
-        p = pred[m.pred_index] if m else None
+        p = pred_of.get(gi)
         for name, subtype in g.arguments.items():
             if p is None or p.arguments.get(name) != subtype:
-                _bump(argument, (g.event_type, name), fn=1)
+                argument[(g.event_type, name)][_FN] += 1
+        if p is None or p.arguments != g.arguments:
+            event[g.event_type][_FN] += 1
 
-    for pi, p in enumerate(pred):
-        m = by_pred.get(pi)
-        if m is not None and gold[m.gold_index].arguments == p.arguments:
-            _bump(event, p.event_type, tp=1)
-        else:
-            _bump(event, p.event_type, fp=1)
-    for gi, g in enumerate(gold):
-        m = by_gold.get(gi)
-        if m is None or pred[m.pred_index].arguments != g.arguments:
-            _bump(event, g.event_type, fn=1)
-
-    return {"trigger": trigger, "argument": argument, "event": event}
+    tables = zip(LEVELS, (trigger, argument, event))
+    return {level: {key: Counts(*c) for key, c in table.items()} for level, table in tables}
 
 
 def corpus_doc_counts(gold: Corpus, pred: Corpus) -> dict[str, DocCounts]:
@@ -195,13 +185,7 @@ def per_document_counts(
     rows = []
     for doc_id in doc_ids:
         table = per_doc[doc_id][level]
-        if key is None:
-            total = Counts()
-            for c in table.values():
-                total = total + c
-        else:
-            total = table.get(key, Counts())
-        rows.append(total)
+        rows.append(sum(table.values(), Counts()) if key is None else table.get(key, Counts()))
     return doc_ids, rows
 
 
@@ -236,9 +220,7 @@ class ScoreReport:
         """JSON-ready form with deterministic key ordering."""
         def row_obj(row: Row) -> dict:
             return {
-                "tp": row.counts.tp,
-                "fp": row.counts.fp,
-                "fn": row.counts.fn,
+                **asdict(row.counts),
                 "precision": row.precision,
                 "recall": row.recall,
                 "f1": row.f1,
@@ -316,18 +298,11 @@ def render_table(report: ScoreReport, levels: list[str] | None = None) -> str:
     levels = levels or report.levels()
     rows: list[tuple[str, str, str, str, str]] = [("level", "key", "P", "R", "F1")]
     for level in levels:
-        group_names = sorted(g for (lv, g) in report.groups if lv == level)
-        for g in group_names:
-            row = report.groups[(level, g)]
-            rows.append(
-                (level, g, f"{row.precision * 100:.1f}", f"{row.recall * 100:.1f}", f"{row.f1 * 100:.1f}")
-            )
-        micro = report.micro[level]
-        rows.append(
-            (level, "micro", f"{micro.precision * 100:.1f}", f"{micro.recall * 100:.1f}", f"{micro.f1 * 100:.1f}")
-        )
-        p, r, f1 = report.macro[level]
-        rows.append((level, "macro", f"{p * 100:.1f}", f"{r * 100:.1f}", f"{f1 * 100:.1f}"))
+        groups = sorted(g for (lv, g) in report.groups if lv == level)
+        named = [(g, report.groups[(level, g)]) for g in groups] + [("micro", report.micro[level])]
+        scores = [(name, (row.precision, row.recall, row.f1)) for name, row in named]
+        for name, values in scores + [("macro", report.macro[level])]:
+            rows.append((level, name, *(f"{v * 100:.1f}" for v in values)))
     widths = [max(len(r[i]) for r in rows) for i in range(5)]
     lines = []
     for r in rows:

@@ -2,7 +2,7 @@
 
 The matching oracle enumerates one-to-one matchings exhaustively, so it is
 only usable on small documents; the scorer must agree with it on randomly
-generated instances. The span-repair and bootstrap references are the
+generated instances. The span-repair, bootstrap and per-document scoring references are the
 straightforward implementations the library's faster ones must match.
 """
 
@@ -14,7 +14,7 @@ import numpy as np
 
 from sdohkit.corpus import AnnotatedDocument, Corpus, Document, Event, TextSpan
 from sdohkit.schema import Schema
-from sdohkit.scoring import Counts, prf, score_corpus
+from sdohkit.scoring import Counts, match_triggers, prf, score_corpus
 
 
 def _enumerate_matchings(edges: list[list[int]], gi: int, used: int, size: int, arg_tp: int,
@@ -288,3 +288,61 @@ def repair_span_reference(claimed: str, doc_text: str, max_norm_dist: float = 0.
         ties, key=lambda t: (-word_aligned(*t), t[0], abs(t[1] - L), t[1])
     )
     return TextSpan(start, start + length, doc_text[start : start + length])
+
+
+# --- per-document scoring reference --------------------------------------------
+
+def _bump(table: dict, key, tp=0, fp=0, fn=0) -> None:
+    c = table.get(key, Counts())
+    table[key] = c + Counts(tp, fp, fn)
+
+
+def score_document_reference(gold: list[Event], pred: list[Event]) -> dict:
+    """``scoring.score_document`` computed the direct way: one loop per level
+    and side, one ``Counts`` addition per increment. Keys enter each table in
+    the order the library must keep: trigger level matched, unmatched gold,
+    unmatched predictions; argument and event levels predictions, then gold."""
+    matches = match_triggers(gold, pred)
+    by_gold = {m.gold_index: m for m in matches}
+    by_pred = {m.pred_index: m for m in matches}
+
+    trigger: dict[str, Counts] = {}
+    argument: dict[tuple[str, str], Counts] = {}
+    event: dict[str, Counts] = {}
+
+    for m in matches:
+        _bump(trigger, gold[m.gold_index].event_type, tp=1)
+    for gi, g in enumerate(gold):
+        if gi not in by_gold:
+            _bump(trigger, g.event_type, fn=1)
+    for pi, p in enumerate(pred):
+        if pi not in by_pred:
+            _bump(trigger, p.event_type, fp=1)
+
+    for pi, p in enumerate(pred):
+        m = by_pred.get(pi)
+        g = gold[m.gold_index] if m else None
+        for name, subtype in p.arguments.items():
+            if g is not None and g.arguments.get(name) == subtype:
+                _bump(argument, (p.event_type, name), tp=1)
+            else:
+                _bump(argument, (p.event_type, name), fp=1)
+    for gi, g in enumerate(gold):
+        m = by_gold.get(gi)
+        p = pred[m.pred_index] if m else None
+        for name, subtype in g.arguments.items():
+            if p is None or p.arguments.get(name) != subtype:
+                _bump(argument, (g.event_type, name), fn=1)
+
+    for pi, p in enumerate(pred):
+        m = by_pred.get(pi)
+        if m is not None and gold[m.gold_index].arguments == p.arguments:
+            _bump(event, p.event_type, tp=1)
+        else:
+            _bump(event, p.event_type, fp=1)
+    for gi, g in enumerate(gold):
+        m = by_gold.get(gi)
+        if m is None or pred[m.pred_index].arguments != g.arguments:
+            _bump(event, g.event_type, fn=1)
+
+    return {"trigger": trigger, "argument": argument, "event": event}

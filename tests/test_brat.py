@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -142,6 +143,28 @@ def test_directory_export_rejects_unsafe_doc_ids(tmp_path, doc_id):
     with pytest.raises(AnnFormatError, match="cannot name a file"):
         export_brat_dir(Corpus([good, bad]), out)
     # Nothing is written, inside the output directory or beside it.
+    assert not list(tmp_path.rglob("*"))
+
+
+@pytest.mark.parametrize(
+    "event_type, arguments, label",
+    [
+        ("Food Insecurity", {}, "event type 'Food Insecurity'"),
+        ("Food:Insecurity", {}, "event type 'Food:Insecurity'"),
+        ("Food", {"Kind of": "meal"}, "argument name 'Kind of'"),
+        ("Food", {"Kind\tof": "meal"}, "argument name 'Kind\\tof'"),
+        ("Food", {"Kind": "no\nmeal"}, "argument value 'no\\nmeal'"),
+    ],
+)
+def test_directory_export_rejects_labels_a_standoff_line_cannot_carry(
+    tmp_path, event_type, arguments, label
+):
+    good = AnnotatedDocument(Document("good", "p", "no food"))
+    bad = AnnotatedDocument(
+        Document("bad", "p", "no food"), [Event(event_type, TextSpan(3, 7, "food"), arguments)]
+    )
+    with pytest.raises(AnnFormatError, match=f"^bad: event 0: {re.escape(label)}"):
+        export_brat_dir(Corpus([good, bad]), tmp_path / "out")
     assert not list(tmp_path.rglob("*"))
 
 

@@ -131,7 +131,8 @@ def test_significance_identical_predictions(tmp_path, capsys, gold_path):
     "level, key, message",
     [
         ("trigger", "Alcoholl", "key 'Alcoholl' occurs in no gold or predicted event"),
-        ("trigger", "Alcohol.Status", "key 'Alcohol.Status' does not fit the trigger level"),
+        # outside the argument level a dotted key is one event type name
+        ("trigger", "Alcohol.Status", "key 'Alcohol.Status' occurs in no gold or predicted event"),
         ("argument", "Alcohol", "key 'Alcohol' does not fit the argument level"),
     ],
 )
@@ -146,6 +147,32 @@ def test_significance_rejects_a_key_that_names_nothing(tmp_path, capsys, gold_pa
     assert (code, stdout) == (2, "")
     assert f"error: {message}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("level", ["trigger", "event"])
+def test_significance_key_with_a_dot_is_one_event_type_outside_the_argument_level(
+    tmp_path, capsys, level
+):
+    def corpus(path, missed_doc=None):
+        event = {"type": "Food.Insecurity", "trigger": {"start": 3, "end": 7, "text": "food"},
+                 "args": {}}
+        lines = [{"doc_id": f"d{i}", "patient_id": "p", "text": "no food",
+                  "events": [] if i == missed_doc else [event]} for i in range(4)]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        return path
+
+    gold = corpus(tmp_path / "gold.jsonl")
+    worse = corpus(tmp_path / "worse.jsonl", missed_doc=0)
+    out = tmp_path / "boot.json"
+    code, _, err = _run(
+        capsys,
+        "significance", "--gold", gold, "--pred-a", gold, "--pred-b", worse, "--level", level,
+        "--key", "Food.Insecurity", "--resamples", 10, "--seed", 1, "--out", out,
+    )
+    assert (code, err) == (0, "")
+    obj = json.loads(out.read_text())
+    assert obj["metric"] == {"level": level, "key": "Food.Insecurity"}
+    assert obj["f1_a"] == 1.0 > obj["f1_b"]
 
 
 def test_significance_valid_key_with_equal_counts(tmp_path, capsys, gold_path):
@@ -328,6 +355,17 @@ def test_guide_stub_command(tmp_path, capsys):
     code, _, _ = _run(capsys, "guide-stub", "--out", out)
     assert code == 0
     assert "[LivingArrangement.Residence]" in out.read_text()
+
+
+@pytest.mark.parametrize("arguments", ["5", "null", "true"])
+def test_guide_stub_rejects_arguments_that_are_not_a_list(tmp_path, capsys, arguments):
+    bad = tmp_path / "bad.json"
+    bad.write_text(f'{{"version": "v", "event_types": [{{"name": "Food", "arguments": {arguments}}}]}}')
+    out = tmp_path / "guide.txt"
+    code, stdout, err = _run(capsys, "guide-stub", "--schema", bad, "--out", out)
+    assert (code, stdout) == (2, "")
+    assert "error: event type 'Food': 'arguments' must be a list" in err
+    assert not out.exists()
 
 
 def test_brat_round_trip_commands(tmp_path, capsys, gold_path):

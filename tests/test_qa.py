@@ -3,7 +3,7 @@ import hashlib
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sdohkit import linearizer
@@ -332,6 +332,18 @@ def test_sample_fewshot_missing_many_class(schema):
 
 def test_guide_stub_covers_schema(schema, guide):
     assert check_guide_coverage(guide, schema) == []
+
+
+_ascii_name = st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E), min_size=1, max_size=8)
+
+
+@given(st.lists(_ascii_name, min_size=1, max_size=3, unique=True), _ascii_name)
+@example(["Food/Insecurity", "Living[Arrangement]"], "Kind:Type")
+def test_guide_stub_covers_schema_names_with_punctuation(type_names, arg_name):
+    schema = Schema(
+        "v", tuple(EventTypeDef(n, (ArgumentDef(arg_name, True, ("a",)),)) for n in type_names)
+    )
+    assert check_guide_coverage(parse_guide_file(guide_stub(schema)), schema) == []
 
 
 @given(st.text())

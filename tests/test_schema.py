@@ -155,3 +155,29 @@ def test_validate_event_total_on_garbage(schema):
 
     assert validate_event(schema, Junk())  # reports a violation, never raises
     assert validate_event(schema, Event(None, None, {}))
+
+
+@pytest.mark.parametrize("value", ["5", "null", "true", '"Status"'])
+def test_arguments_that_are_not_a_list_name_the_event_type(value):
+    text = MINIMAL.replace(
+        '[{"name": "Status", "required": true, "subtypes": ["past", "current"]}]', value
+    )
+    with pytest.raises(SchemaError, match="LivingArrangement"):
+        load_schema(text)
+
+
+@pytest.mark.parametrize(
+    "required, subtypes, message",
+    [
+        (False, ("None", "shelter"), "reads as the answer 'none'"),
+        (True, ("shelter", "Shelter"), "duplicate subtype 'Shelter'"),
+        (False, ("SHELTER", "shelter"), "duplicate subtype 'shelter'"),
+        (True, ("None", "shelter"), None),  # a required argument has no "none" answer
+    ],
+)
+def test_subtypes_must_be_distinct_answers(required, subtypes, message):
+    if message is None:
+        assert ArgumentDef("Kind", required, subtypes).subtypes == subtypes
+    else:
+        with pytest.raises(SchemaError, match=message):
+            ArgumentDef("Kind", required, subtypes)

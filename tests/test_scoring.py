@@ -2,8 +2,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import as_pred_corpus, oracle_doc_tp, perturb_events
+from helpers import as_pred_corpus, oracle_doc_tp, perturb_events, score_document_reference
 from sdohkit.corpus import AnnotatedDocument, Corpus, Document, Event, TextSpan
 from sdohkit.scoring import (
     Counts,
@@ -300,6 +302,31 @@ def test_greedy_matches_oracle_on_small_docs(schema):
         if not same:
             divergent += 1
     assert divergent / len(corpus.docs) < 0.005
+
+
+# Few types, short overlapping spans and a small argument vocabulary, so that
+# matches, near misses, repeated keys and equal argument maps all occur.
+_events = st.lists(
+    st.builds(
+        lambda t, start, length, args: _ev(t, start, start + length, **args),
+        st.sampled_from(["A", "B", "C"]),
+        st.integers(0, 12),
+        st.integers(1, 5),
+        st.dictionaries(st.sampled_from(["x", "y", "z"]), st.sampled_from(["p", "q"]), max_size=3),
+    ),
+    max_size=7,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_events, _events)
+def test_score_document_matches_reference(gold, pred):
+    got = score_document(gold, pred)
+    want = score_document_reference(gold, pred)
+    assert list(got) == list(want)
+    for level in want:
+        # item order too: aggregate sums macro averages in first-seen key order
+        assert list(got[level].items()) == list(want[level].items())
 
 
 # --- per-document counts -----------------------------------------------------------
