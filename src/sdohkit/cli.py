@@ -135,11 +135,9 @@ def cmd_significance(args) -> int:
     gold = read_corpus_jsonl(args.gold)
     pred_a = read_corpus_jsonl(args.pred_a)
     pred_b = read_corpus_jsonl(args.pred_b)
-    key = args.key or None
-    if key and args.level == "argument" and "." in key:
-        key = tuple(key.split(".", 1))
     result = bootstrap_test(
-        gold, pred_a, pred_b, level=args.level, key=key, n_resamples=args.resamples, seed=args.seed
+        gold, pred_a, pred_b, level=args.level, key=args.key or None,
+        n_resamples=args.resamples, seed=args.seed,
     )
     _write_json(result.to_obj(), args.out)
     print(f"significant at 0.05: {'yes' if result.significant else 'no'}")

@@ -108,7 +108,8 @@ def document_violations(adoc: AnnotatedDocument, schema: Schema | None = None) -
 
     Verifies the field types (non-empty string doc_id, patient_id and text,
     an ISO-8601 note_date or None, a string annotator_id or None), that
-    every string, event labels included, encodes as UTF-8, that the doc_id
+    every string, event labels included, encodes as UTF-8, that no argument
+    name holds a '.' (which joins "Type.Argument" keys), that the doc_id
     can name a file inside a directory, trigger bounds, surface-text
     agreement with the document, and the one-event-per-(type, span)
     constraint; optionally also runs schema validation on each event.
@@ -153,6 +154,8 @@ def document_violations(adoc: AnnotatedDocument, schema: Schema | None = None) -
         for label in (ev.event_type, *ev.arguments, *ev.arguments.values()):
             if problem := _unwritable(label):
                 out.append(f"event {i}: label {label!r} {problem}")
+        out += [f"event {i}: argument name {name!r} contains '.'"
+                for name in ev.arguments if "." in name]
         if schema is not None:
             out.extend(f"event {i}: {v}" for v in validate_event(schema, ev))
     return out

@@ -2,10 +2,11 @@
 
 The HTTP client posts the de facto chat-completion JSON shape
 ({"model", "messages": [{"role", "content"}, ...], ...}) to a configurable
-endpoint, retries transient failures (timeouts, 429, 5xx) with exponential
-backoff, lengthened to a delta-seconds ``Retry-After`` header when the
-endpoint sends one, and bounds in-flight requests per client with a
-semaphore. The API key comes from an environment variable only.
+endpoint, retries transient failures (timeouts, 429, 5xx) with full-jitter
+exponential backoff (Brooker, "Exponential Backoff and Jitter", AWS
+Architecture Blog, 2015), lengthened to a delta-seconds ``Retry-After``
+header when the endpoint sends one, and bounds in-flight requests per client
+with a semaphore. The API key comes from an environment variable only.
 
 Privacy posture: prompts and completions are never written to logs; logging
 carries metadata (status, latency, retry counts) only.
@@ -16,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
+import random
 import threading
 import time
 from dataclasses import dataclass
@@ -143,6 +145,8 @@ class HttpChatClient:
         self._transport = transport or _default_transport
         self._sleep = sleep
         self._sem = threading.BoundedSemaphore(config.max_concurrent)
+        # Backoff jitter only: seeded from the OS, and no output depends on it.
+        self._jitter = random.Random()
 
     def _headers(self) -> dict:
         key = os.environ.get(self.config.api_key_env)
@@ -184,7 +188,7 @@ class HttpChatClient:
                         "completion failed status=%s attempts=%d", exc.status, attempt + 1
                     )
                     raise
-                delay = self.config.backoff_base * (2 ** attempt)
+                delay = self._jitter.uniform(0, self.config.backoff_base * 2 ** attempt)
                 if exc.retry_after is not None:
                     # The header may lengthen the wait, up to the request timeout, never shorten it.
                     delay = max(delay, min(exc.retry_after, self.config.request_timeout))

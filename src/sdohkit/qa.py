@@ -281,12 +281,69 @@ def _events_of_type(doc: AnnotatedDocument, event_type: str) -> list[Event]:
     )
 
 
-def _trigger_answer(doc: AnnotatedDocument, event_type: str) -> str:
-    events = _events_of_type(doc, event_type)
+def _listing(events) -> str:
+    """A trigger answer: one trigger text per line, or NONE."""
     return "\n".join(e.trigger.text for e in events) if events else "NONE"
 
 
-def sample_fewshot(train: Corpus, target, kind: str, seed) -> FewShotSet:
+def _trigger_answer(doc: AnnotatedDocument, event_type: str) -> str:
+    return _listing(_events_of_type(doc, event_type))
+
+
+_Typed = tuple[AnnotatedDocument, tuple[Event, ...]]  # a train doc and its events of one type
+
+
+class FewShotPool:
+    """The sampling classes of one train corpus, indexed once per run.
+
+    The docs are sorted by doc_id once. Each class list is built on the
+    first query that needs it and then kept: a doc's events per event type,
+    the zero/one/many buckets per event type, and the positive/negative
+    lists per (event type, argument). A list is fully built before it is
+    stored, so threads that fill the same key store equal lists.
+    """
+
+    def __init__(self, train: Corpus):
+        self._docs = sorted(train.docs, key=lambda d: d.doc_id)
+        self._typed: dict[str, list[_Typed]] = {}
+        self._counts: dict[str, tuple[list[_Typed], list[_Typed], list[_Typed]]] = {}
+        self._args: dict[tuple[str, str], tuple[list[_Typed], list[_Typed]]] = {}
+
+    def _of_type(self, event_type: str) -> list[_Typed]:
+        """Every doc, in doc_id order, with its events of the type."""
+        typed = self._typed.get(event_type)
+        if typed is None:
+            # A tuple, so that the many docs without the type share the empty one.
+            typed = [(d, tuple(_events_of_type(d, event_type))) for d in self._docs]
+            self._typed[event_type] = typed
+        return typed
+
+    def by_count(self, event_type: str) -> tuple[list[_Typed], list[_Typed], list[_Typed]]:
+        """The docs with zero, one and several events of the type."""
+        buckets = self._counts.get(event_type)
+        if buckets is None:
+            buckets = ([], [], [])
+            for item in self._of_type(event_type):
+                buckets[min(len(item[1]), 2)].append(item)
+            self._counts[event_type] = buckets
+        return buckets
+
+    def by_argument(self, event_type: str, arg_name: str) -> tuple[list[_Typed], list[_Typed]]:
+        """The docs with an event of the type that has the argument, and
+        those with one that lacks it (a doc can be in both)."""
+        classes = self._args.get((event_type, arg_name))
+        if classes is None:
+            classes = ([], [])
+            for item in self._of_type(event_type):
+                if any(arg_name in e.arguments for e in item[1]):
+                    classes[0].append(item)
+                if any(arg_name not in e.arguments for e in item[1]):
+                    classes[1].append(item)
+            self._args[(event_type, arg_name)] = classes
+        return classes
+
+
+def sample_fewshot(train: Corpus | FewShotPool, target, kind: str, seed) -> FewShotSet:
     """Draw three constraint-satisfying examples from the train corpus.
 
     ``kind="trigger"`` (target: event type): one note with zero, one with
@@ -294,53 +351,33 @@ def sample_fewshot(train: Corpus, target, kind: str, seed) -> FewShotSet:
     order. ``kind="required-arg"`` (target: (event type, argument)): three
     notes with an event carrying the argument. ``kind="optional-arg"``: two
     such positives plus one note whose event of the type lacks the argument,
-    answered "none". Selection is uniform within each class per seed.
+    answered "none". Selection is uniform within each class per seed: the
+    draws come from ``random.Random(f"fewshot:{kind}:{target}:{seed}")`` over
+    classes in doc_id order. A plain corpus is indexed for this call only;
+    a run passes one ``FewShotPool`` to every query.
     """
+    pool = train if isinstance(train, FewShotPool) else FewShotPool(train)
     rng = random.Random(f"fewshot:{kind}:{target}:{seed}")
-    docs = sorted(train.docs, key=lambda d: d.doc_id)
 
     if kind == "trigger":
         event_type = target
-        buckets: dict[str, list[AnnotatedDocument]] = {
-            "zero-triggers": [],
-            "one-trigger": [],
-            "many-triggers": [],
-        }
-        for d in docs:
-            n = len(_events_of_type(d, event_type))
-            if n == 0:
-                buckets["zero-triggers"].append(d)
-            elif n == 1:
-                buckets["one-trigger"].append(d)
-            else:
-                buckets["many-triggers"].append(d)
         examples = []
-        for name in ("zero-triggers", "one-trigger", "many-triggers"):
-            if not buckets[name]:
+        names = ("zero-triggers", "one-trigger", "many-triggers")
+        for name, bucket in zip(names, pool.by_count(event_type)):
+            if not bucket:
                 raise FewShotError(f"class {name} empty for event type {event_type}")
-            doc = rng.choice(buckets[name])
-            examples.append(FewShotExample(doc.document.text, _trigger_answer(doc, event_type)))
+            doc, events = rng.choice(bucket)
+            examples.append(FewShotExample(doc.document.text, _listing(events)))
         return FewShotSet(examples, "zero-one-many")
 
     if kind not in ("required-arg", "optional-arg"):
         raise ValueError(f"unknown few-shot kind {kind!r}")
     event_type, arg_name = target
-    positives = []
-    negatives = []
-    for d in docs:
-        evs = _events_of_type(d, event_type)
-        if any(arg_name in e.arguments for e in evs):
-            positives.append(d)
-        if any(arg_name not in e.arguments for e in evs):
-            negatives.append(d)
+    positives, negatives = pool.by_argument(event_type, arg_name)
 
-    def pick_example(doc: AnnotatedDocument, want_argument: bool) -> FewShotExample:
-        pool = [
-            e
-            for e in _events_of_type(doc, event_type)
-            if (arg_name in e.arguments) == want_argument
-        ]
-        ev = rng.choice(pool)
+    def pick_example(item: _Typed, want_argument: bool) -> FewShotExample:
+        doc, events = item
+        ev = rng.choice([e for e in events if (arg_name in e.arguments) == want_argument])
         answer = ev.arguments[arg_name] if want_argument else "none"
         return FewShotExample(doc.document.text, answer, ev.trigger)
 
@@ -350,19 +387,18 @@ def sample_fewshot(train: Corpus, target, kind: str, seed) -> FewShotSet:
                 f"class positive has {len(positives)} documents for {event_type}.{arg_name}, need 3"
             )
         chosen = rng.sample(positives, 3)
-        return FewShotSet([pick_example(d, True) for d in chosen], "three-positive")
+        return FewShotSet([pick_example(item, True) for item in chosen], "three-positive")
 
     if not negatives:
         raise FewShotError(f"class negative empty for {event_type}.{arg_name}")
-    neg_doc = rng.choice(negatives)
-    pos_pool = [d for d in positives if d.doc_id != neg_doc.doc_id]
+    neg = rng.choice(negatives)
+    pos_pool = [item for item in positives if item[0].doc_id != neg[0].doc_id]
     if len(pos_pool) < 2:
         raise FewShotError(
             f"class positive has {len(pos_pool)} documents for {event_type}.{arg_name}, need 2"
         )
-    pos_docs = rng.sample(pos_pool, 2)
-    examples = [pick_example(pos_docs[0], True), pick_example(pos_docs[1], True),
-                pick_example(neg_doc, False)]
+    pos = rng.sample(pos_pool, 2)
+    examples = [pick_example(pos[0], True), pick_example(pos[1], True), pick_example(neg, False)]
     return FewShotSet(examples, "two-positive-one-negative")
 
 
@@ -574,13 +610,13 @@ class _Plan:
     seed: int
     repair: bool
     guide: dict[str, str]  # {} when the strategy carries no guideline
-    train: Corpus | None  # the few-shot pool; None when the strategy uses none
+    fewshot: FewShotPool | None  # None when the strategy uses no worked examples
     examples: list[AnnotatedDocument]  # the single-step illustrations
 
     def _fewshot(self, doc: Document, target, kind: str) -> FewShotSet | None:
-        if self.train is None:
+        if self.fewshot is None:
             return None
-        return sample_fewshot(self.train, target, kind, f"{self.seed}:{doc.doc_id}")
+        return sample_fewshot(self.fewshot, target, kind, f"{self.seed}:{doc.doc_id}")
 
     def event_step(self, doc: Document, client, tally: RunMetrics) -> list[Event]:
         rng = random.Random(f"event-example:{self.seed}:{doc.doc_id}")
@@ -665,7 +701,7 @@ def run_pipeline(
         examples = sorted((d for d in train.docs if d.events), key=lambda d: d.doc_id)
         if not examples:
             raise PromptError("train corpus has no documents with events")
-    fewshot_pool = train if strategy == "2sqa-guide3shot" else None
+    fewshot_pool = FewShotPool(train) if strategy == "2sqa-guide3shot" else None
     plan = _Plan(schema, seed, repair, guide, fewshot_pool, examples)
     step = plan.event_step if strategy == "event" else plan.two_step
 

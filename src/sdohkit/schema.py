@@ -28,6 +28,9 @@ def _check_identifier(name: str, what: str) -> None:
         raise SchemaError(f"{what} name must be a non-empty string, got {name!r}")
     if not name.isascii() or any(c.isspace() for c in name):
         raise SchemaError(f"{what} name {name!r} must be ASCII without whitespace")
+    if what == "argument" and "." in name:
+        # "Type.Argument" keys split at their last '.' (guides, reports, --key).
+        raise SchemaError(f"argument name {name!r} must not contain '.'")
 
 
 @dataclass(frozen=True)
@@ -103,6 +106,13 @@ class Schema:
             if et.name in by_name:
                 raise SchemaError(f"duplicate event type {et.name!r}")
             by_name[et.name] = et
+        # A key string names one thing: type "X.Y" and argument Y of type X
+        # would share the guide key "X.Y".
+        for et in self.event_types:
+            owner, _, arg = et.name.rpartition(".")
+            if owner in by_name and by_name[owner].argument(arg) is not None:
+                raise SchemaError(f"event type {et.name!r} and argument {arg!r} of event type "
+                                  f"{owner!r} share the key {et.name!r}")
         object.__setattr__(self, "_by_name", by_name)
 
     def event_type(self, name: str) -> EventTypeDef | None:

@@ -62,13 +62,16 @@ def bootstrap_test(
     """Paired document-level bootstrap of F1(A) - F1(B).
 
     ``key=None`` tests the micro average at the given level; otherwise the
-    named event type (or (event type, argument) pair at argument level). A
-    key of the wrong shape for the level, or one that occurs in no gold or
-    predicted event at that level, raises ``ScoringError``: it would
-    otherwise read as "no difference".
+    named event type (or (event type, argument) pair at argument level,
+    which may also be given as "EventType.Argument", split at its last '.'
+    since argument names hold none). A key of the wrong shape for the
+    level, or one that occurs in no gold or predicted event at that level,
+    raises ``ScoringError``: it would otherwise read as "no difference".
     """
     if n_resamples < 1:
         raise ValueError("n_resamples must be >= 1")
+    if level == "argument" and isinstance(key, str) and "." in key:
+        key = tuple(key.rsplit(".", 1))
     doc_ids, rows_a = per_document_counts(gold, pred_a, level, key)
     _, rows_b = per_document_counts(gold, pred_b, level, key)
     counts_a = np.array([[c.tp, c.fp, c.fn] for c in rows_a], dtype=np.int64)

@@ -2,8 +2,9 @@
 
 The matching oracle enumerates one-to-one matchings exhaustively, so it is
 only usable on small documents; the scorer must agree with it on randomly
-generated instances. The span-repair, bootstrap and per-document scoring references are the
-straightforward implementations the library's faster ones must match.
+generated instances. The span-repair, bootstrap, per-document scoring and
+few-shot sampling references are the straightforward implementations the
+library's faster ones must match.
 """
 
 import random
@@ -13,6 +14,7 @@ import string
 import numpy as np
 
 from sdohkit.corpus import AnnotatedDocument, Corpus, Document, Event, TextSpan
+from sdohkit.qa import FewShotError, FewShotExample, FewShotSet
 from sdohkit.schema import Schema
 from sdohkit.scoring import Counts, match_triggers, prf, score_corpus
 
@@ -346,3 +348,99 @@ def score_document_reference(gold: list[Event], pred: list[Event]) -> dict:
             _bump(event, g.event_type, fn=1)
 
     return {"trigger": trigger, "argument": argument, "event": event}
+
+
+# --- few-shot sampling reference -----------------------------------------------
+
+def _events_of_type(doc: AnnotatedDocument, event_type: str) -> list[Event]:
+    return sorted(
+        (e for e in doc.events if e.event_type == event_type),
+        key=lambda e: (e.trigger.start, e.trigger.end),
+    )
+
+
+def _trigger_answer(doc: AnnotatedDocument, event_type: str) -> str:
+    events = _events_of_type(doc, event_type)
+    return "\n".join(e.trigger.text for e in events) if events else "NONE"
+
+
+def sample_fewshot_reference(train: Corpus, target, kind: str, seed) -> FewShotSet:
+    """The per-query scan: re-sorts the corpus and re-filters every doc.
+
+    Draws three constraint-satisfying examples from the train corpus.
+
+    ``kind="trigger"`` (target: event type): one note with zero, one with
+    exactly one, and one with more than one trigger of the type, in that
+    order. ``kind="required-arg"`` (target: (event type, argument)): three
+    notes with an event carrying the argument. ``kind="optional-arg"``: two
+    such positives plus one note whose event of the type lacks the argument,
+    answered "none". Selection is uniform within each class per seed.
+    """
+    rng = random.Random(f"fewshot:{kind}:{target}:{seed}")
+    docs = sorted(train.docs, key=lambda d: d.doc_id)
+
+    if kind == "trigger":
+        event_type = target
+        buckets: dict[str, list[AnnotatedDocument]] = {
+            "zero-triggers": [],
+            "one-trigger": [],
+            "many-triggers": [],
+        }
+        for d in docs:
+            n = len(_events_of_type(d, event_type))
+            if n == 0:
+                buckets["zero-triggers"].append(d)
+            elif n == 1:
+                buckets["one-trigger"].append(d)
+            else:
+                buckets["many-triggers"].append(d)
+        examples = []
+        for name in ("zero-triggers", "one-trigger", "many-triggers"):
+            if not buckets[name]:
+                raise FewShotError(f"class {name} empty for event type {event_type}")
+            doc = rng.choice(buckets[name])
+            examples.append(FewShotExample(doc.document.text, _trigger_answer(doc, event_type)))
+        return FewShotSet(examples, "zero-one-many")
+
+    if kind not in ("required-arg", "optional-arg"):
+        raise ValueError(f"unknown few-shot kind {kind!r}")
+    event_type, arg_name = target
+    positives = []
+    negatives = []
+    for d in docs:
+        evs = _events_of_type(d, event_type)
+        if any(arg_name in e.arguments for e in evs):
+            positives.append(d)
+        if any(arg_name not in e.arguments for e in evs):
+            negatives.append(d)
+
+    def pick_example(doc: AnnotatedDocument, want_argument: bool) -> FewShotExample:
+        pool = [
+            e
+            for e in _events_of_type(doc, event_type)
+            if (arg_name in e.arguments) == want_argument
+        ]
+        ev = rng.choice(pool)
+        answer = ev.arguments[arg_name] if want_argument else "none"
+        return FewShotExample(doc.document.text, answer, ev.trigger)
+
+    if kind == "required-arg":
+        if len(positives) < 3:
+            raise FewShotError(
+                f"class positive has {len(positives)} documents for {event_type}.{arg_name}, need 3"
+            )
+        chosen = rng.sample(positives, 3)
+        return FewShotSet([pick_example(d, True) for d in chosen], "three-positive")
+
+    if not negatives:
+        raise FewShotError(f"class negative empty for {event_type}.{arg_name}")
+    neg_doc = rng.choice(negatives)
+    pos_pool = [d for d in positives if d.doc_id != neg_doc.doc_id]
+    if len(pos_pool) < 2:
+        raise FewShotError(
+            f"class positive has {len(pos_pool)} documents for {event_type}.{arg_name}, need 2"
+        )
+    pos_docs = rng.sample(pos_pool, 2)
+    examples = [pick_example(pos_docs[0], True), pick_example(pos_docs[1], True),
+                pick_example(neg_doc, False)]
+    return FewShotSet(examples, "two-positive-one-negative")

@@ -175,6 +175,29 @@ def test_significance_key_with_a_dot_is_one_event_type_outside_the_argument_leve
     assert obj["f1_a"] == 1.0 > obj["f1_b"]
 
 
+def test_significance_argument_key_splits_at_the_last_dot(tmp_path, capsys):
+    def corpus(path, missed_doc=None):
+        lines = [{"doc_id": f"d{i}", "patient_id": "p", "text": "no food",
+                  "events": [{"type": "Food.Insecurity", "trigger": {"start": 3, "end": 7, "text": "food"},
+                              "args": {} if i == missed_doc else {"Status": "current"}}]}
+                 for i in range(4)]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        return path
+
+    gold = corpus(tmp_path / "gold.jsonl")
+    worse = corpus(tmp_path / "worse.jsonl", missed_doc=0)
+    out = tmp_path / "boot.json"
+    code, _, err = _run(
+        capsys,
+        "significance", "--gold", gold, "--pred-a", gold, "--pred-b", worse, "--level", "argument",
+        "--key", "Food.Insecurity.Status", "--resamples", 10, "--seed", 1, "--out", out,
+    )
+    assert (code, err) == (0, "")
+    obj = json.loads(out.read_text())
+    assert obj["metric"] == {"level": "argument", "key": "Food.Insecurity.Status"}
+    assert obj["f1_a"] == 1.0 > obj["f1_b"]
+
+
 def test_significance_valid_key_with_equal_counts(tmp_path, capsys, gold_path):
     out = tmp_path / "boot.json"
     code, _, _ = _run(

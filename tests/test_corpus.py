@@ -251,6 +251,18 @@ def test_jsonl_loader_rejects_event_labels_no_writer_can_encode(event_type, args
         corpus_from_jsonl(json.dumps(obj))
 
 
+def test_jsonl_loader_rejects_an_argument_name_with_a_dot():
+    # events A.B{C} and A{B.C} would share the argument key "A.B.C" in reports
+    events = [{"type": "A.B", "trigger": {"start": 0, "end": 2, "text": "he"}, "args": {"C": "p"}},
+              {"type": "A", "trigger": {"start": 3, "end": 9, "text": "drinks"},
+               "args": {"B.C": "q"}}]
+    obj = {"doc_id": "a", "patient_id": "p", "text": "he drinks", "events": events}
+    with pytest.raises(CorpusError, match="^line 1: event 1: argument name 'B.C' contains '.'$"):
+        corpus_from_jsonl(json.dumps(obj))
+    del events[1]
+    assert corpus_from_jsonl(json.dumps(obj)).docs[0].events[0].event_type == "A.B"
+
+
 def test_jsonl_records_name_the_line_and_file():
     records = list(jsonl_records('\n{"a":1}\n\n{"b":2}\n'))
     assert records == [("line 2", {"a": 1}), ("line 4", {"b": 2})]

@@ -1,3 +1,4 @@
+import random
 import threading
 
 import pytest
@@ -119,18 +120,25 @@ def test_http_client_backoff_schedule(monkeypatch):
     client = HttpChatClient(
         _config(max_retries=3, backoff_base=0.5), transport=transport, sleep=sleeps.append
     )
-    with pytest.raises(TransportError):
-        client.complete([ChatMessage("user", "q")])
-    assert sleeps == [0.5, 1.0, 2.0]
+    # Full jitter: the k-th wait is uniform in [0, backoff_base * 2**k].
+    for _ in range(100):
+        with pytest.raises(TransportError):
+            client.complete([ChatMessage("user", "q")])
+    assert len(sleeps) == 300
+    fractions = [s / (0.5 * 2 ** (i % 3)) for i, s in enumerate(sleeps)]
+    assert all(0 <= f <= 1 for f in fractions)
+    assert 0.4 < sum(fractions) / len(fractions) < 0.6  # mean 0.5, standard error 0.017
+    assert len(set(sleeps)) == len(sleeps)
 
 
 @pytest.mark.parametrize(
     "retry_after, sleeps",
     [
-        (None, [0.5, 1.0]),
-        (3.0, [3.0, 3.0]),  # the endpoint's wait when it is longer than the backoff
-        (0.0, [0.5, 1.0]),  # never shorter than the backoff
-        (600.0, [60.0, 60.0]),  # capped at the request timeout
+        # (shortest, longest) wait for each retry
+        (None, [(0.0, 0.5), (0.0, 1.0)]),
+        (3.0, [(3.0, 3.0), (3.0, 3.0)]),  # the endpoint's wait when it is longer than the backoff
+        (0.0, [(0.0, 0.5), (0.0, 1.0)]),  # never shorter than the backoff
+        (600.0, [(60.0, 60.0), (60.0, 60.0)]),  # capped at the request timeout
     ],
 )
 def test_http_client_honours_retry_after(monkeypatch, retry_after, sleeps):
@@ -144,9 +152,27 @@ def test_http_client_honours_retry_after(monkeypatch, retry_after, sleeps):
         _config(max_retries=2, backoff_base=0.5, request_timeout=60.0),
         transport=transport, sleep=slept.append,
     )
+    for _ in range(50):
+        with pytest.raises(TransportError):
+            client.complete([ChatMessage("user", "q")])
+    assert len(slept) == 100
+    assert all(lo <= s <= hi for s, (lo, hi) in zip(slept, sleeps * 50))
+
+
+def test_backoff_jitter_leaves_no_trace_in_the_global_random_state(monkeypatch):
+    monkeypatch.setenv("SDOHKIT_API_KEY", "k")
+
+    def transport(url, headers, body, timeout):
+        raise TransportError("nope", status=503)
+
+    random.seed(5)
+    want = random.random()
+    random.seed(5)
+    client = HttpChatClient(_config(max_retries=3, backoff_base=0.5), transport=transport,
+                            sleep=lambda s: None)
     with pytest.raises(TransportError):
         client.complete([ChatMessage("user", "q")])
-    assert slept == sleeps
+    assert random.random() == want
 
 
 @pytest.mark.parametrize(

@@ -1,17 +1,19 @@
 import dataclasses
 import hashlib
 import re
+import threading
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sdohkit import linearizer
+from sdohkit import linearizer, qa
 from sdohkit.corpus import AnnotatedDocument, Corpus, Document, Event, TextSpan
 from sdohkit.linearizer import parse_events
 from sdohkit.llm import Completion, TransportError
 from sdohkit.qa import (
     FewShotError,
+    FewShotPool,
     FewShotSet,
     GoldOracleClient,
     NonsenseClient,
@@ -29,9 +31,11 @@ from sdohkit.qa import (
     run_pipeline,
     sample_fewshot,
 )
-from sdohkit.schema import Schema, EventTypeDef, ArgumentDef
+from sdohkit.schema import ArgumentDef, EventTypeDef, Schema, SchemaError
 from sdohkit.scoring import score_corpus
 from sdohkit.synth import generate_fewshot_train, generate_synthetic
+
+from helpers import sample_fewshot_reference
 
 
 @pytest.fixture(scope="module")
@@ -328,6 +332,55 @@ def test_sample_fewshot_missing_many_class(schema):
         sample_fewshot(thin, "Tobacco", "trigger", 1)
 
 
+def _fewshot_outcome(sample, train, target, kind, seed):
+    try:
+        return sample(train, target, kind, seed)
+    except FewShotError as exc:
+        return f"FewShotError: {exc}"
+
+
+# Small corpora over three event types and three argument names: every class
+# is sometimes empty, sometimes a single doc, and doc_ids can repeat.
+_fewshot_docs = st.lists(
+    st.tuples(
+        st.sampled_from(["d1", "d2", "d3", "d4", "d5", "d6"]),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["A", "B", "C"]),
+                st.integers(0, 4),
+                st.integers(1, 2),
+                st.dictionaries(st.sampled_from(["x", "y", "z"]), st.sampled_from(["p", "q"]),
+                                max_size=3),
+            ),
+            max_size=4,
+        ),
+    ),
+    max_size=9,
+)
+_fewshot_query = st.one_of(
+    st.tuples(st.sampled_from(["A", "B", "C"]), st.just("trigger")),
+    st.tuples(
+        st.tuples(st.sampled_from(["A", "B", "C"]), st.sampled_from(["x", "y", "z"])),
+        st.sampled_from(["required-arg", "optional-arg"]),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fewshot_docs, st.lists(st.tuples(_fewshot_query, st.integers(0, 50)), min_size=1, max_size=12))
+def test_sample_fewshot_matches_reference(raw_docs, queries):
+    docs = []
+    for i, (doc_id, raw_events) in enumerate(raw_docs):
+        events = [Event(t, TextSpan(s, s + n, f"{t}{s}-{s + n}"), args) for t, s, n, args in raw_events]
+        docs.append(AnnotatedDocument(Document(doc_id, "p", f"note {i}"), events))
+    train = Corpus(docs)
+    pool = FewShotPool(train)  # one pool serves every query, as in a run
+    for (target, kind), seed in queries:
+        want = _fewshot_outcome(sample_fewshot_reference, train, target, kind, seed)
+        assert _fewshot_outcome(sample_fewshot, pool, target, kind, seed) == want
+        assert _fewshot_outcome(sample_fewshot, train, target, kind, seed) == want
+
+
 # --- guide files -----------------------------------------------------------------------
 
 def test_guide_stub_covers_schema(schema, guide):
@@ -337,13 +390,21 @@ def test_guide_stub_covers_schema(schema, guide):
 _ascii_name = st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E), min_size=1, max_size=8)
 
 
-@given(st.lists(_ascii_name, min_size=1, max_size=3, unique=True), _ascii_name)
+@given(st.lists(_ascii_name, min_size=1, max_size=3, unique=True),
+       _ascii_name.filter(lambda name: "." not in name))
 @example(["Food/Insecurity", "Living[Arrangement]"], "Kind:Type")
+@example(["Food", "Food.Insecurity"], "Status")
+@example(["Food", "Food.Status"], "Status")
 def test_guide_stub_covers_schema_names_with_punctuation(type_names, arg_name):
-    schema = Schema(
-        "v", tuple(EventTypeDef(n, (ArgumentDef(arg_name, True, ("a",)),)) for n in type_names)
-    )
-    assert check_guide_coverage(parse_guide_file(guide_stub(schema)), schema) == []
+    types = tuple(EventTypeDef(n, (ArgumentDef(arg_name, True, ("a",)),)) for n in type_names)
+    if any(f"{n}.{arg_name}" in type_names for n in type_names):
+        with pytest.raises(SchemaError, match="share the key"):
+            Schema("v", types)
+        return
+    schema = Schema("v", types)
+    guide = parse_guide_file(guide_stub(schema))
+    assert check_guide_coverage(guide, schema) == []
+    assert len(guide) == 2 * len(type_names)  # one key per type and per argument
 
 
 @given(st.text())
@@ -600,6 +661,71 @@ def test_pipeline_requires_train_when_needed(schema, corpus, guide):
         run_pipeline(corpus, schema, oracle, "event", seed=1)
     with pytest.raises(PromptError):
         run_pipeline(corpus, schema, oracle, "2sqa-guide3shot", seed=1, guide=guide)
+
+
+class _Rendezvous(list):
+    """Events whose iteration waits until two threads iterate them at once."""
+
+    def __init__(self, items, barrier):
+        super().__init__(items)
+        self.barrier = barrier
+
+    def __iter__(self):
+        self.barrier.wait(timeout=10)
+        return super().__iter__()
+
+
+def test_fewshot_pool_threads_filling_one_key_keep_equal_classes():
+    def doc(i, n):
+        events = [Event("A", TextSpan(j, j + 1, f"a{j}"), {"x": "p"}) for j in range(n)]
+        return AnnotatedDocument(Document(f"d{i}", "p", f"note {i}"), events)
+
+    docs = [doc(i, n) for i, n in enumerate([0, 1, 2, 0, 3, 1])]
+    barrier = threading.Barrier(2)
+    docs[0].events = _Rendezvous(docs[0].events, barrier)
+    pool = FewShotPool(Corpus(docs))
+    results = [None, None]
+
+    def query(slot):
+        results[slot] = (sample_fewshot(pool, "A", "trigger", 3), pool.by_count("A"))
+
+    threads = [threading.Thread(target=query, args=(slot,)) for slot in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert not barrier.broken  # both threads built the class before either stored it
+    docs[0].events = docs[0].events[:]  # a plain list again, for the reference
+    want = sample_fewshot_reference(Corpus(docs[1:] + docs[:1]), "A", "trigger", 3)
+    assert results[0][0] == results[1][0] == want
+    assert results[0][1] == results[1][1] == pool.by_count("A")
+
+
+class _CountingOracle:
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.calls = 0
+
+    def complete(self, messages):
+        self.calls += 1
+        return self.oracle.complete(messages)
+
+
+def test_pipeline_raises_at_the_query_whose_class_is_empty(schema, corpus, guide, monkeypatch):
+    docs = generate_fewshot_train(schema, 1).docs
+    thin = Corpus([d for d in docs if sum(e.event_type == "Tobacco" for e in d.events) <= 1])
+
+    def run():
+        client = _CountingOracle(GoldOracleClient(corpus, schema))
+        with pytest.raises(FewShotError) as exc:
+            run_pipeline(corpus, schema, client, "2sqa-guide3shot", seed=4, train=thin, guide=guide)
+        return str(exc.value), client.calls
+
+    got = run()
+    monkeypatch.setattr(qa, "sample_fewshot", lambda pool, *a: sample_fewshot_reference(thin, *a))
+    assert got == run()
+    assert got[0] == "class many-triggers empty for event type Tobacco"
+    assert got[1] > 0  # Alcohol and Drug were asked first
 
 
 def test_pipeline_requires_guide_coverage(schema, corpus, train):

@@ -62,6 +62,35 @@ def test_identifiers_reject_whitespace():
         load_schema(MINIMAL.replace("LivingArrangement", "Living Arrangement"))
 
 
+def test_argument_names_reject_a_dot():
+    with pytest.raises(SchemaError, match="argument name 'Sta.tus' must not contain '.'"):
+        load_schema(MINIMAL.replace('"Status"', '"Sta.tus"'))
+    load_schema(MINIMAL.replace("LivingArrangement", "Living.Arrangement"))  # types may
+
+
+def _two_types(first: str, first_arg: str, second: str, second_arg: str) -> str:
+    def entry(name, arg):
+        return f'{{"name": "{name}", "arguments": [{{"name": "{arg}", "required": true, "subtypes": ["x"]}}]}}'
+    return f'{{"version": "t", "event_types": [{entry(first, first_arg)}, {entry(second, second_arg)}]}}'
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_event_type_may_not_share_the_key_of_an_argument(order):
+    # guide key "Food.Status": the event type, and argument Status of Food
+    types = [("Food", "Status"), ("Food.Status", "Kind")][:: 1 if order == 0 else -1]
+    with pytest.raises(SchemaError, match="'Food.Status' and argument 'Status' of event type 'Food'"):
+        load_schema(_two_types(*types[0], *types[1]))
+    # a dotted type whose suffix names no argument of its prefix type is fine
+    ok = load_schema(_two_types("Food", "Status", "Food.Insecurity", "Status"))
+    assert [et.name for et in ok.event_types] == ["Food", "Food.Insecurity"]
+
+
+def test_argument_keys_from_two_readings_cannot_be_loaded():
+    # (A.B, C) and (A, B.C) would both report as "A.B.C"
+    with pytest.raises(SchemaError, match="argument name 'B.C' must not contain '.'"):
+        load_schema(_two_types("A.B", "C", "A", "B.C"))
+
+
 def test_write_schema_round_trip_and_stability():
     s = load_schema(MINIMAL)
     text = write_schema(s)

@@ -133,6 +133,14 @@ def test_key_that_names_nothing_at_its_level_is_an_error(schema, level, key, mes
         bootstrap_test(gold, _perfect(gold), _empty(gold), level, key, n_resamples=10, seed=0)
 
 
+def test_argument_key_text_is_the_pair_split_at_its_last_dot(schema):
+    gold = generate_synthetic(schema, 30, 109)
+    a, b = _perfect(gold), _empty(gold)
+    as_pair = bootstrap_test(gold, a, b, "argument", ("LivingArrangement", "Status"), 50, seed=3)
+    as_text = bootstrap_test(gold, a, b, "argument", "LivingArrangement.Status", 50, seed=3)
+    assert as_text == as_pair and as_text.key == "LivingArrangement.Status"
+
+
 def test_key_seen_only_in_predictions_is_tested(schema):
     gold = generate_synthetic(schema, 30, 109)
     r = bootstrap_test(_empty(gold), _perfect(gold), _empty(gold), "trigger", "Alcohol",
