@@ -107,7 +107,7 @@ def document_violations(adoc: AnnotatedDocument, schema: Schema | None = None) -
     """Structural invariant check for one annotated document.
 
     Verifies the field types (non-empty string doc_id, patient_id and text,
-    an ISO-8601 note_date or None, a string annotator_id or None), that
+    a YYYY-MM-DD note_date or None, a string annotator_id or None), that
     every string, event labels included, encodes as UTF-8, that no argument
     name holds a '.' (which joins "Type.Argument" keys), that the doc_id
     can name a file inside a directory, trigger bounds, surface-text
@@ -125,6 +125,8 @@ def document_violations(adoc: AnnotatedDocument, schema: Schema | None = None) -
             out.append("'note_date' must be a string or null")
         else:
             try:
+                if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", doc.note_date):
+                    raise ValueError
                 date.fromisoformat(doc.note_date)
             except ValueError:
                 out.append(f"'note_date' {doc.note_date!r} is not an ISO-8601 date")

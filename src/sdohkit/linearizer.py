@@ -161,45 +161,28 @@ def parse_events(
             outcome.invalid_records.append(record)
             continue
 
-        arguments: dict[str, str] = {}
-        arg_records: list[InvalidRecord] = []
-        ok_rest = True
-        if rest:
-            if not rest.startswith(" | "):
-                outcome.invalid_records.append(
-                    InvalidRecord(fragment, "format", "trigger", "malformed argument list")
-                )
-                ok_rest = False
-            else:
-                for clause in rest[3:].split(" | "):
-                    cm = _CLAUSE_RE.fullmatch(clause)
-                    if cm is None:
-                        arg_records.append(InvalidRecord(clause, "format", "argument"))
-                        continue
-                    name, subtype, echo = cm.group("name"), cm.group("subtype"), cm.group("trig")
-                    if echo != trig_text:
-                        arg_records.append(
-                            InvalidRecord(clause, "format", "argument", "trigger echo mismatch")
-                        )
-                        continue
-                    adef = et.argument(name)
-                    if adef is None:
-                        arg_records.append(InvalidRecord(clause, "unknown-type", "argument", name))
-                        continue
-                    if subtype not in adef.subtypes:
-                        arg_records.append(
-                            InvalidRecord(clause, "unknown-subtype", "argument", subtype)
-                        )
-                        continue
-                    if name in arguments:
-                        arg_records.append(
-                            InvalidRecord(clause, "format", "argument", "duplicate argument")
-                        )
-                        continue
-                    arguments[name] = subtype
-        if not ok_rest:
+        if rest and not rest.startswith(" | "):
+            outcome.invalid_records.append(
+                InvalidRecord(fragment, "format", "trigger", "malformed argument list")
+            )
             continue
-        outcome.invalid_records.extend(arg_records)
+        arguments: dict[str, str] = {}
+        for clause in rest[3:].split(" | ") if rest else ():
+            cm = _CLAUSE_RE.fullmatch(clause)
+            if cm is None:
+                record = InvalidRecord(clause, "format", "argument")
+            elif cm.group("trig") != trig_text:
+                record = InvalidRecord(clause, "format", "argument", "trigger echo mismatch")
+            elif (adef := et.argument(cm.group("name"))) is None:
+                record = InvalidRecord(clause, "unknown-type", "argument", cm.group("name"))
+            elif cm.group("subtype") not in adef.subtypes:
+                record = InvalidRecord(clause, "unknown-subtype", "argument", cm.group("subtype"))
+            elif cm.group("name") in arguments:
+                record = InvalidRecord(clause, "format", "argument", "duplicate argument")
+            else:
+                arguments[cm.group("name")] = cm.group("subtype")
+                continue
+            outcome.invalid_records.append(record)
 
         missing = [a.name for a in et.required_arguments if a.name not in arguments]
         if missing:
@@ -311,15 +294,17 @@ def repair_span(claimed: str, doc_text: str, max_norm_dist: float = 0.2) -> Text
         doc_fold = doc_text
         c = claimed
 
-    # bound[length]: the largest distance a candidate of that length may have
-    bound = [int(max_norm_dist * max(length, L)) for length in range(max_len + 1)]
-    k_max = max(bound[min_len:])
+    # A candidate of each length may have distance int(max_norm_dist * max(length, L)),
+    # monotone in length, so the largest bound is at one end of [L, max_len].
+    k_max = max(int(max_norm_dist * L), int(max_norm_dist * max_len))
     # The best distance ending at j bounds every candidate ending there from below.
     ends = sorted(
         (d, j)
         for j, d in enumerate(_myers_distances(_char_masks(c), len(c), doc_fold, False), 1)
         if d <= k_max
     )
+    if not ends:
+        return None
     reversed_masks = _char_masks(c[::-1])
     best = k_max
     ties: list[tuple[int, int]] = []  # (start, length) at distance best
@@ -328,7 +313,7 @@ def repair_span(claimed: str, doc_text: str, max_norm_dist: float = 0.2) -> Text
             break
         window = doc_fold[max(0, j - max_len) : j][::-1]
         for length, d in enumerate(_myers_distances(reversed_masks, len(c), window, True), 1):
-            if length < min_len or d > bound[length] or d > best:
+            if length < min_len or d > best or d > int(max_norm_dist * max(length, L)):
                 continue
             if d < best:
                 best, ties = d, []

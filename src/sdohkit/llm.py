@@ -21,6 +21,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass
+from urllib.parse import urlsplit
 
 logger = logging.getLogger("sdohkit.llm")
 
@@ -157,9 +158,11 @@ class HttpChatClient:
         return {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
 
     def _check_url(self) -> None:
-        url = self.config.base_url
-        host = url.split("//", 1)[-1].split("/", 1)[0].split(":", 1)[0]
-        if not url.startswith("https://") and host not in ("localhost", "127.0.0.1", "::1"):
+        try:
+            url = urlsplit(self.config.base_url)
+        except ValueError as exc:
+            raise ConfigurationError(f"base_url: {exc}") from None
+        if url.scheme != "https" and url.hostname not in ("localhost", "127.0.0.1", "::1"):
             raise ConfigurationError("non-localhost endpoints must use https")
 
     def complete(self, messages: list[ChatMessage]) -> Completion:

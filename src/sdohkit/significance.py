@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus
-from .scoring import ScoringError, _key_str, per_document_counts, precision_recall_f1
+from .scoring import ScoringError, per_document_counts, precision_recall_f1
 
 
 @dataclass(frozen=True)
@@ -50,59 +50,58 @@ class BootstrapResult:
         }
 
 
+def _f1_pair(counts: np.ndarray) -> tuple[float, float]:
+    """F1 of system A and of system B from (n_docs, 6) rows [tp, fp, fn] x 2."""
+    totals = counts.sum(axis=0)
+    return precision_recall_f1(*totals[:3])[2], precision_recall_f1(*totals[3:])[2]
+
+
 def bootstrap_test(
     gold: Corpus,
     pred_a: Corpus,
     pred_b: Corpus,
     level: str = "trigger",
-    key: str | tuple[str, str] | None = None,
+    key: str | None = None,
     n_resamples: int = 10000,
     seed: int = 0,
 ) -> BootstrapResult:
     """Paired document-level bootstrap of F1(A) - F1(B).
 
     ``key=None`` tests the micro average at the given level; otherwise the
-    named event type (or (event type, argument) pair at argument level,
-    which may also be given as "EventType.Argument", split at its last '.'
-    since argument names hold none). A key of the wrong shape for the
-    level, or one that occurs in no gold or predicted event at that level,
-    raises ``ScoringError``: it would otherwise read as "no difference".
+    named event type, or at argument level "EventType.Argument", split at
+    its last '.' since argument names hold none. An argument-level key
+    without a '.', or a key that occurs in no gold or predicted event at
+    that level, raises ``ScoringError``: it would otherwise read as "no
+    difference".
     """
     if n_resamples < 1:
         raise ValueError("n_resamples must be >= 1")
-    if level == "argument" and isinstance(key, str) and "." in key:
-        key = tuple(key.rsplit(".", 1))
-    doc_ids, rows_a = per_document_counts(gold, pred_a, level, key)
-    _, rows_b = per_document_counts(gold, pred_b, level, key)
-    counts_a = np.array([[c.tp, c.fp, c.fn] for c in rows_a], dtype=np.int64)
-    counts_b = np.array([[c.tp, c.fp, c.fn] for c in rows_b], dtype=np.int64)
+    table_key = key
+    if key is not None and level == "argument":
+        table_key = tuple(key.rsplit(".", 1))
+        if len(table_key) != 2:
+            raise ScoringError(f"key {key!r} does not fit the argument level, which takes "
+                               "EventType.Argument")
+    doc_ids, rows_a = per_document_counts(gold, pred_a, level, table_key)
+    _, rows_b = per_document_counts(gold, pred_b, level, table_key)
     n_docs = len(doc_ids)
     if n_docs == 0:
         raise ValueError("cannot bootstrap an empty corpus")
-    key_str = _key_str(key)
-    if key is not None and isinstance(key, tuple) != (level == "argument"):
-        want = "EventType.Argument" if level == "argument" else "an event type"
-        raise ScoringError(f"key {key_str!r} does not fit the {level} level, which takes {want}")
-    if key is not None and not (counts_a.any() or counts_b.any()):
-        raise ScoringError(
-            f"key {key_str!r} occurs in no gold or predicted event at the {level} level"
-        )
+    rows = [[a.tp, a.fp, a.fn, b.tp, b.fp, b.fn] for a, b in zip(rows_a, rows_b)]
+    counts = np.array(rows, dtype=np.int64)
+    if key is not None and not counts.any():
+        raise ScoringError(f"key {key!r} occurs in no gold or predicted event at the {level} level")
 
-    f1_a = precision_recall_f1(*counts_a.sum(axis=0))[2]
-    f1_b = precision_recall_f1(*counts_b.sum(axis=0))[2]
+    f1_a, f1_b = _f1_pair(counts)
     delta = f1_a - f1_b
-
     if delta <= 0:
-        return BootstrapResult(delta, 1.0, n_resamples, seed, level, key_str, f1_a, f1_b)
+        return BootstrapResult(delta, 1.0, n_resamples, seed, level, key, f1_a, f1_b)
 
-    children = np.random.SeedSequence(seed).spawn(n_resamples)
     exceed = 0
-    for child in children:
-        rng = np.random.default_rng(child)
-        idx = rng.integers(0, n_docs, size=n_docs)
-        da = precision_recall_f1(*counts_a[idx].sum(axis=0))[2]
-        db = precision_recall_f1(*counts_b[idx].sum(axis=0))[2]
+    for child in np.random.SeedSequence(seed).spawn(n_resamples):
+        idx = np.random.default_rng(child).integers(0, n_docs, size=n_docs)
+        da, db = _f1_pair(counts[idx])
         if da - db > 2 * delta:
             exceed += 1
     p = (exceed + 1) / (n_resamples + 1)
-    return BootstrapResult(delta, p, n_resamples, seed, level, key_str, f1_a, f1_b)
+    return BootstrapResult(delta, p, n_resamples, seed, level, key, f1_a, f1_b)

@@ -222,12 +222,15 @@ def test_document_violations_duplicate_event(schema):
 
 
 def test_document_violations_checks_field_types():
-    bad = AnnotatedDocument(Document("d", 7, "hi", "yesterday"), annotator_id=5)
-    assert document_violations(bad) == [
-        "missing or empty string field 'patient_id'",
-        "'note_date' 'yesterday' is not an ISO-8601 date",
-        "'annotator_id' must be a string or null",
-    ]
+    # "20200131" and "2020-W05-5" parse with date.fromisoformat on Python 3.11 but not 3.10
+    for note_date in ("yesterday", "20200131", "2020-W05-5", "2020-02-30"):
+        bad = AnnotatedDocument(Document("d", 7, "hi", note_date), annotator_id=5)
+        assert document_violations(bad) == [
+            "missing or empty string field 'patient_id'",
+            f"'note_date' {note_date!r} is not an ISO-8601 date",
+            "'annotator_id' must be a string or null",
+        ]
+    assert document_violations(AnnotatedDocument(Document("d", "p", "hi", "2020-01-31"))) == []
     assert document_violations(AnnotatedDocument(Document("d", "p", "hi", 20200131))) == [
         "'note_date' must be a string or null"
     ]

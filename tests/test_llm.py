@@ -281,12 +281,29 @@ def test_http_client_missing_api_key(monkeypatch):
 
 
 def test_http_client_requires_https_for_remote(monkeypatch):
+    """The rule reads the URL's host: userinfo before '@' is not the host, and
+    a bracketed IPv6 loopback is local."""
     monkeypatch.setenv("SDOHKIT_API_KEY", "k")
-    client = HttpChatClient(
-        _config(base_url="http://example.com/v1"), transport=lambda *a: _ok_payload()
-    )
-    with pytest.raises(ConfigurationError, match="https"):
-        client.complete([ChatMessage("user", "q")])
+    sent = []
+
+    def transport(url, headers, body, timeout):
+        sent.append(url)
+        return _ok_payload()
+
+    refused = ["http://example.com/v1", "http://127.0.0.1:80@example.com/v1",
+               "http://localhost@example.com/v1", "localhost:9/v1", "http://[::1/v1"]
+    for url in refused:
+        client = HttpChatClient(_config(base_url=url), transport=transport)
+        with pytest.raises(ConfigurationError, match="https|base_url"):
+            client.complete([ChatMessage("user", "q")])
+    assert sent == []
+    allowed = ["https://example.com/v1", "http://[::1]:8000/v1", "http://127.0.0.1:8000/v1",
+               "http://localhost/v1"]
+    for url in allowed:
+        HttpChatClient(_config(base_url=url), transport=transport).complete(
+            [ChatMessage("user", "q")]
+        )
+    assert sent == allowed
 
 
 def test_http_client_thread_safety(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 
 from helpers import as_pred_corpus, perturb_events
 from sdohkit.corpus import AnnotatedDocument, Corpus
-from sdohkit.scoring import ScoringError
+from sdohkit.scoring import ScoringError, score_corpus
 from sdohkit.significance import bootstrap_test
 from sdohkit.synth import generate_synthetic
 
@@ -93,7 +93,8 @@ def test_p_monotone_in_separation(schema):
     assert ps[0] >= ps[1] >= ps[2]
 
 
-def test_cached_counts_equals_rescoring_from_scratch(schema):
+@pytest.mark.parametrize("level", ["trigger", "argument", "event"])
+def test_cached_counts_equals_rescoring_from_scratch(schema, level):
     """Resampling cached per-document counts must reproduce a reference that
     rebuilds each resampled corpus and re-scores it from scratch."""
     from helpers import bootstrap_reference
@@ -108,8 +109,8 @@ def test_cached_counts_equals_rescoring_from_scratch(schema):
         pred_b = as_pred_corpus(
             gold, {d.doc_id: perturb_events(d, schema, rng) for d in gold.docs}
         )
-        got = bootstrap_test(gold, pred_a, pred_b, n_resamples=40, seed=trial)
-        delta, p = bootstrap_reference(gold, pred_a, pred_b, "trigger", 40, trial)
+        got = bootstrap_test(gold, pred_a, pred_b, level, n_resamples=40, seed=trial)
+        delta, p = bootstrap_reference(gold, pred_a, pred_b, level, 40, trial)
         assert got.observed_delta == pytest.approx(delta, abs=0)
         assert got.p_value == p
         if delta > 0:
@@ -121,9 +122,10 @@ def test_cached_counts_equals_rescoring_from_scratch(schema):
     "level, key, message",
     [
         ("trigger", "Alcoholl", "occurs in no gold or predicted event at the trigger level"),
-        ("argument", ("Alcohol", "Statuss"), "occurs in no gold or predicted event"),
-        ("trigger", ("Alcohol", "Status"), "does not fit the trigger level"),
-        ("event", ("Alcohol", "Status"), "does not fit the event level"),
+        ("argument", "Alcohol.Statuss", "occurs in no gold or predicted event"),
+        # outside the argument level a dotted key is one event type name
+        ("trigger", "Alcohol.Status", "occurs in no gold or predicted event at the trigger level"),
+        ("event", "Alcohol.Status", "occurs in no gold or predicted event at the event level"),
         ("argument", "Alcohol", "does not fit the argument level"),
     ],
 )
@@ -135,10 +137,13 @@ def test_key_that_names_nothing_at_its_level_is_an_error(schema, level, key, mes
 
 def test_argument_key_text_is_the_pair_split_at_its_last_dot(schema):
     gold = generate_synthetic(schema, 30, 109)
-    a, b = _perfect(gold), _empty(gold)
-    as_pair = bootstrap_test(gold, a, b, "argument", ("LivingArrangement", "Status"), 50, seed=3)
-    as_text = bootstrap_test(gold, a, b, "argument", "LivingArrangement.Status", 50, seed=3)
-    assert as_text == as_pair and as_text.key == "LivingArrangement.Status"
+    rng = random.Random(7)
+    pred = as_pred_corpus(gold, {d.doc_id: perturb_events(d, schema, rng) for d in gold.docs})
+    r = bootstrap_test(gold, pred, _empty(gold), "argument", "LivingArrangement.Status", 50, 3)
+    report = score_corpus(gold, pred)
+    assert r.key == "LivingArrangement.Status"
+    assert r.f1_a == report.per_key[("argument", "LivingArrangement.Status")].f1
+    assert r.f1_a != report.micro["argument"].f1
 
 
 def test_key_seen_only_in_predictions_is_tested(schema):
@@ -148,7 +153,7 @@ def test_key_seen_only_in_predictions_is_tested(schema):
     assert r.key == "Alcohol" and r.f1_a == r.f1_b == 0.0
 
 
-@pytest.mark.parametrize("level, key", [("trigger", "Alcohol"), ("argument", ("Alcohol", "Status"))])
+@pytest.mark.parametrize("level, key", [("trigger", "Alcohol"), ("argument", "Alcohol.Status")])
 def test_valid_key_with_equal_counts_gives_p_one(schema, level, key):
     gold = generate_synthetic(schema, 30, 109)
     r = bootstrap_test(gold, _perfect(gold), _perfect(gold), level, key, n_resamples=10, seed=0)
