@@ -162,7 +162,12 @@ class HttpChatClient:
             url = urlsplit(self.config.base_url)
         except ValueError as exc:
             raise ConfigurationError(f"base_url: {exc}") from None
-        if url.scheme != "https" and url.hostname not in ("localhost", "127.0.0.1", "::1"):
+        if url.scheme == "https":
+            return
+        # requests parses with urllib3, which ends the host at a backslash and keeps
+        # the tabs and newlines urlsplit drops; a plain-HTTP URL must read alike to both.
+        if (url.hostname not in ("localhost", "127.0.0.1", "::1") or url.username is not None
+                or any(c in "\\\t\r\n" for c in self.config.base_url)):
             raise ConfigurationError("non-localhost endpoints must use https")
 
     def complete(self, messages: list[ChatMessage]) -> Completion:

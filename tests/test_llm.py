@@ -282,7 +282,8 @@ def test_http_client_missing_api_key(monkeypatch):
 
 def test_http_client_requires_https_for_remote(monkeypatch):
     """The rule reads the URL's host: userinfo before '@' is not the host, and
-    a bracketed IPv6 loopback is local."""
+    a bracketed IPv6 loopback is local. A plain-HTTP URL with userinfo, a
+    backslash or a tab is refused, since urllib3 may read another host there."""
     monkeypatch.setenv("SDOHKIT_API_KEY", "k")
     sent = []
 
@@ -291,7 +292,9 @@ def test_http_client_requires_https_for_remote(monkeypatch):
         return _ok_payload()
 
     refused = ["http://example.com/v1", "http://127.0.0.1:80@example.com/v1",
-               "http://localhost@example.com/v1", "localhost:9/v1", "http://[::1/v1"]
+               "http://localhost@example.com/v1", "localhost:9/v1", "http://[::1/v1",
+               "http://example.com\\@localhost/v1", "http://user@localhost@example.com/v1",
+               "http://user@localhost/v1", "http://local\thost/v1"]
     for url in refused:
         client = HttpChatClient(_config(base_url=url), transport=transport)
         with pytest.raises(ConfigurationError, match="https|base_url"):
