@@ -233,9 +233,10 @@ def cmd_export_finetune(args) -> int:
     return 0
 
 
-def _build_client(args, corpus, schema):
+def _build_client(args):
+    """The extraction client; None for the oracle, which answers from the corpus."""
     if args.client == "oracle":
-        return GoldOracleClient(corpus, schema)
+        return None
     if args.client == "nonsense":
         return NonsenseClient()
     if args.client == "script":
@@ -261,11 +262,14 @@ def _build_client(args, corpus, schema):
 
 
 def cmd_extract(args) -> int:
+    # Built first, so a refused --base-url fails before any input is read.
+    client = _build_client(args)
     schema = _load_schema(args.schema)
     corpus = read_corpus_jsonl(args.corpus)
     train = read_corpus_jsonl(args.train) if args.train else None
     guide = parse_guide_file(read_text(args.guide_file)) if args.guide_file else None
-    client = _build_client(args, corpus, schema)
+    if client is None:
+        client = GoldOracleClient(corpus, schema)
     pred, metrics = run_pipeline(
         corpus, schema, client, args.strategy, args.seed, train=train, guide=guide,
         repair=not args.no_repair,

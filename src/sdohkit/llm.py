@@ -133,6 +133,38 @@ def _default_transport(url: str, headers: dict, body: dict, timeout: float):
         raise TransportError("endpoint returned a body that is not JSON", status=200) from exc
 
 
+def _check_url(base_url: str) -> None:
+    try:
+        url = urlsplit(base_url)
+    except ValueError as exc:
+        raise ConfigurationError(f"base_url: {exc}") from None
+    if url.scheme == "https":
+        return
+    # requests parses with urllib3, which ends the host at a backslash and keeps
+    # the tabs and newlines urlsplit drops; a plain-HTTP URL must read alike to both.
+    if (url.hostname not in ("localhost", "127.0.0.1", "::1") or url.username is not None
+            or any(c in "\\\t\r\n" for c in base_url)):
+        raise ConfigurationError("non-localhost endpoints must use https")
+
+
+def _read_reply(payload) -> tuple[str, list[int]]:
+    """The completion text and [prompt, completion] token counts of a reply;
+    any other shape is a ``TransportError``."""
+    try:
+        text = payload["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError) as exc:
+        raise TransportError("response missing choices[0].message.content") from exc
+    if not isinstance(text, str):
+        raise TransportError("response choices[0].message.content is not a string")
+    usage = payload.get("usage") or {}
+    if not isinstance(usage, dict):
+        raise TransportError("response usage is not an object")
+    tokens = [usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)]
+    if not all(type(t) is int and t >= 0 for t in tokens):
+        raise TransportError("response token counts are not non-negative integers")
+    return text, tokens
+
+
 class HttpChatClient:
     """Chat-completion client with retry, backoff, and a request budget.
 
@@ -142,6 +174,7 @@ class HttpChatClient:
     """
 
     def __init__(self, config: ClientConfig, transport=None, sleep=time.sleep):
+        _check_url(config.base_url)
         self.config = config
         self._transport = transport or _default_transport
         self._sleep = sleep
@@ -157,22 +190,8 @@ class HttpChatClient:
             )
         return {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
 
-    def _check_url(self) -> None:
-        try:
-            url = urlsplit(self.config.base_url)
-        except ValueError as exc:
-            raise ConfigurationError(f"base_url: {exc}") from None
-        if url.scheme == "https":
-            return
-        # requests parses with urllib3, which ends the host at a backslash and keeps
-        # the tabs and newlines urlsplit drops; a plain-HTTP URL must read alike to both.
-        if (url.hostname not in ("localhost", "127.0.0.1", "::1") or url.username is not None
-                or any(c in "\\\t\r\n" for c in self.config.base_url)):
-            raise ConfigurationError("non-localhost endpoints must use https")
-
     def complete(self, messages: list[ChatMessage]) -> Completion:
         _check_messages(messages)
-        self._check_url()
         headers = self._headers()
         body = {
             "model": self.config.model_name,
@@ -203,16 +222,7 @@ class HttpChatClient:
                 self._sleep(delay)
                 attempt += 1
         latency = (time.perf_counter() - start) * 1000
-        try:
-            text = payload["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise TransportError("response missing choices[0].message.content") from exc
-        usage = payload.get("usage") or {}
-        if not isinstance(usage, dict):
-            raise TransportError("response usage is not an object")
-        tokens = [usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)]
-        if not all(type(t) is int for t in tokens):
-            raise TransportError("response token counts are not integers")
+        text, tokens = _read_reply(payload)
         logger.debug("completion ok latency_ms=%.0f retries=%d", latency, attempt)
         return Completion(text, *tokens, latency, attempt)
 

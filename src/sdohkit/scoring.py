@@ -217,14 +217,23 @@ class ScoreReport:
         return [lv for lv in LEVELS if lv in self.micro]
 
     def to_obj(self) -> dict:
-        """JSON-ready form with deterministic key ordering."""
+        """JSON-ready form with deterministic key ordering.
+
+        Equal rows share one dict, so treat the result as read-only. A report
+        repeats many rows (zero rows, and each group of one event type); a
+        caller that keeps reports, such as a benchmark keeping every pass's
+        output, holds half as many dicts."""
+        row_objs: dict[Row, dict] = {}
+
         def row_obj(row: Row) -> dict:
-            return {
-                **asdict(row.counts),
-                "precision": row.precision,
-                "recall": row.recall,
-                "f1": row.f1,
-            }
+            if row not in row_objs:
+                row_objs[row] = {
+                    **asdict(row.counts),
+                    "precision": row.precision,
+                    "recall": row.recall,
+                    "f1": row.f1,
+                }
+            return row_objs[row]
 
         obj: dict = {"levels": {}}
         for level in self.levels():

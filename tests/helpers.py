@@ -16,7 +16,7 @@ import numpy as np
 from sdohkit.corpus import AnnotatedDocument, Corpus, Document, Event, TextSpan
 from sdohkit.qa import FewShotError, FewShotExample, FewShotSet
 from sdohkit.schema import Schema
-from sdohkit.scoring import Counts, match_triggers, prf, score_corpus
+from sdohkit.scoring import Counts, match_triggers, precision_recall_f1, prf, score_corpus
 
 
 def _enumerate_matchings(edges: list[list[int]], gi: int, used: int, size: int, arg_tp: int,
@@ -158,6 +158,18 @@ def bootstrap_reference(gold: Corpus, pred_a: Corpus, pred_b: Corpus,
         if da > 2 * delta:
             exceed += 1
     return delta, (exceed + 1) / (n_resamples + 1)
+
+
+def bootstrap_deltas_reference(counts: np.ndarray, seed: int, n_resamples: int) -> np.ndarray:
+    """The per-child resampling loop over (n_docs, 6) rows [tp, fp, fn] x 2: each
+    spawned child builds its own Generator, draws n_docs row indices, and
+    F1(A) - F1(B) is recomputed from the summed rows. One delta per resample."""
+    n_docs = len(counts)
+    deltas = []
+    for child in np.random.SeedSequence(seed).spawn(n_resamples):
+        totals = counts[np.random.default_rng(child).integers(0, n_docs, size=n_docs)].sum(axis=0)
+        deltas.append(precision_recall_f1(*totals[:3])[2] - precision_recall_f1(*totals[3:])[2])
+    return np.array(deltas, dtype=np.float64)
 
 
 # --- span repair reference ---------------------------------------------------

@@ -209,6 +209,25 @@ def test_significance_valid_key_with_equal_counts(tmp_path, capsys, gold_path):
     assert json.loads(out.read_text())["p_value"] == 1.0
 
 
+@pytest.mark.parametrize("a_better", [True, False])
+def test_significance_refuses_a_negative_seed(tmp_path, capsys, gold_path, a_better):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("".join(
+        json.dumps({**json.loads(line), "events": []}) + "\n"
+        for line in gold_path.read_text().splitlines()
+    ))
+    pred_a, pred_b = (gold_path, empty) if a_better else (empty, gold_path)
+    out = tmp_path / "boot.json"
+    code, _, err = _run(
+        capsys,
+        "significance", "--gold", gold_path, "--pred-a", pred_a, "--pred-b", pred_b,
+        "--resamples", 10, "--seed", -1, "--out", out,
+    )
+    assert code == 2
+    assert "seed must be a non-negative integer" in err
+    assert not out.exists()
+
+
 def test_sections_command(tmp_path, capsys):
     notes = tmp_path / "notes.jsonl"
     notes.write_text(
@@ -340,6 +359,17 @@ def test_extract_http_client_requires_endpoint(tmp_path, capsys, gold_path):
         "--out", tmp_path / "p.jsonl",
     )
     assert code == 3
+
+
+def test_extract_refuses_a_plain_http_remote_url_before_reading_input(tmp_path, capsys):
+    code, _, err = _run(
+        capsys,
+        "extract", "--corpus", tmp_path / "missing.jsonl", "--strategy", "2sqa-base",
+        "--seed", 1, "--client", "http", "--base-url", "http://example.com/v1", "--model", "m",
+        "--out", tmp_path / "p.jsonl",
+    )
+    assert code == 3
+    assert "https" in err
 
 
 def test_extract_http_malformed_replies_fail_documents_not_the_run(

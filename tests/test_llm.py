@@ -230,6 +230,8 @@ def test_http_client_non_retryable_4xx(monkeypatch):
         {"prompt_tokens": 1.5},
         {"completion_tokens": None},
         {"prompt_tokens": True},
+        {"prompt_tokens": -5},
+        {"completion_tokens": -1},
     ],
 )
 def test_http_client_malformed_usage_is_transport_error(monkeypatch, usage):
@@ -237,6 +239,15 @@ def test_http_client_malformed_usage_is_transport_error(monkeypatch, usage):
     payload = dict(_ok_payload(), usage=usage)
     client = HttpChatClient(_config(), transport=lambda *a: payload, sleep=lambda s: None)
     with pytest.raises(TransportError, match="usage|token counts"):
+        client.complete([ChatMessage("user", "q")])
+
+
+@pytest.mark.parametrize("content", [None, 5, ["a"], {"text": "a"}])
+def test_http_client_content_that_is_not_a_string_is_transport_error(monkeypatch, content):
+    monkeypatch.setenv("SDOHKIT_API_KEY", "k")
+    payload = {"choices": [{"message": {"content": content}}]}
+    client = HttpChatClient(_config(max_retries=3), transport=lambda *a: payload)
+    with pytest.raises(TransportError, match="content is not a string"):
         client.complete([ChatMessage("user", "q")])
 
 
@@ -283,7 +294,8 @@ def test_http_client_missing_api_key(monkeypatch):
 def test_http_client_requires_https_for_remote(monkeypatch):
     """The rule reads the URL's host: userinfo before '@' is not the host, and
     a bracketed IPv6 loopback is local. A plain-HTTP URL with userinfo, a
-    backslash or a tab is refused, since urllib3 may read another host there."""
+    backslash or a tab is refused, since urllib3 may read another host there.
+    A refused URL fails when the client is built, before any request."""
     monkeypatch.setenv("SDOHKIT_API_KEY", "k")
     sent = []
 
@@ -296,9 +308,8 @@ def test_http_client_requires_https_for_remote(monkeypatch):
                "http://example.com\\@localhost/v1", "http://user@localhost@example.com/v1",
                "http://user@localhost/v1", "http://local\thost/v1"]
     for url in refused:
-        client = HttpChatClient(_config(base_url=url), transport=transport)
         with pytest.raises(ConfigurationError, match="https|base_url"):
-            client.complete([ChatMessage("user", "q")])
+            HttpChatClient(_config(base_url=url), transport=transport)
     assert sent == []
     allowed = ["https://example.com/v1", "http://[::1]:8000/v1", "http://127.0.0.1:8000/v1",
                "http://localhost/v1"]

@@ -521,6 +521,25 @@ def test_pipeline_transport_failure_recorded(schema, corpus):
     assert len(pred.docs) == len(corpus.docs)
 
 
+@pytest.mark.parametrize("content", [None, 5, ["NONE"], {"text": "NONE"}])
+def test_pipeline_reply_content_that_is_not_text_fails_the_document(
+    schema, corpus, monkeypatch, content
+):
+    from sdohkit.llm import ClientConfig, HttpChatClient
+
+    monkeypatch.setenv("SDOHKIT_API_KEY", "k")
+    victim = corpus.docs[3]
+
+    def transport(url, headers, body, timeout):
+        text = content if victim.document.text in body["messages"][-1]["content"] else "NONE"
+        return {"choices": [{"message": {"content": text}}]}
+
+    client = HttpChatClient(ClientConfig("http://localhost:9/v1", "m"), transport=transport)
+    pred, metrics = run_pipeline(corpus, schema, client, "2sqa-base", seed=1)
+    assert metrics.failures == [victim.doc_id]
+    assert pred.doc_ids() == corpus.doc_ids()
+
+
 def test_pipeline_query_counters_agree_when_documents_fail(schema, corpus):
     class EverySeventhCallFails:
         def __init__(self, inner):

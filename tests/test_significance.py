@@ -1,11 +1,15 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import as_pred_corpus, perturb_events
+from helpers import as_pred_corpus, bootstrap_deltas_reference, perturb_events
+from sdohkit import significance
 from sdohkit.corpus import AnnotatedDocument, Corpus
-from sdohkit.scoring import ScoringError, score_corpus
-from sdohkit.significance import bootstrap_test
+from sdohkit.scoring import ScoringError, per_document_counts, precision_recall_f1, score_corpus
+from sdohkit.significance import _CHUNK, _draws, _f1, _resample_deltas, bootstrap_test
 from sdohkit.synth import generate_synthetic
 
 
@@ -158,3 +162,109 @@ def test_valid_key_with_equal_counts_gives_p_one(schema, level, key):
     gold = generate_synthetic(schema, 30, 109)
     r = bootstrap_test(gold, _perfect(gold), _perfect(gold), level, key, n_resamples=10, seed=0)
     assert r.p_value == 1.0
+
+
+@pytest.mark.parametrize("seed", [-1, -2**70, 1.0, "1", True, False, None, np.int64(3)])
+@pytest.mark.parametrize("a_better", [True, False])
+def test_seed_must_be_a_non_negative_int_whatever_the_delta(schema, seed, a_better):
+    gold = generate_synthetic(schema, 10, 113)
+    pred_a, pred_b = (_perfect(gold), _empty(gold)) if a_better else (_empty(gold), _perfect(gold))
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        bootstrap_test(gold, pred_a, pred_b, n_resamples=10, seed=seed)
+
+
+def _numpy_children(seed, start, stop, high, size):
+    """numpy's own draws: spawn, one Generator per child, integers(0, high, size)."""
+    children = np.random.SeedSequence(seed).spawn(stop)[start:]
+    return np.array([np.random.default_rng(c).integers(0, high, size) for c in children])
+
+
+def _chunk_draws(seed, start, stop, high, size):
+    return np.stack(list(_draws(seed, start, stop, high, size)), axis=1).astype(np.int64)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 31, 123456789, 2**32 - 1, 2**32, 2**40 + 5,
+                                  2**64 + 1, 2**127 + 9, 2**128, 2**130 + 3])
+@pytest.mark.parametrize("size", [1, 2, 3, 245, 894])
+def test_draws_equal_numpy_spawned_generators(seed, size):
+    """Every draw is numpy's. pyproject.toml does not pin numpy, so a numpy
+    that changes its SeedSequence or PCG64 streams fails here."""
+    for high in sorted({1, 2, 3, size, 2**31 + 11}):
+        got = _chunk_draws(seed, 0, 40, high, size)
+        assert np.array_equal(got, _numpy_children(seed, 0, 40, high, size))
+
+
+def test_draws_start_anywhere_and_span_the_chunk_boundary():
+    start, stop = _CHUNK - 5, _CHUNK + 3
+    assert np.array_equal(_chunk_draws(9, start, stop, 245, 245),
+                          _numpy_children(9, start, stop, 245, 245))
+
+
+def test_draws_with_a_two_word_spawn_key_are_numpy_draws():
+    start = 2**32 - 2
+    got = _chunk_draws(3, start, start + 4, 245, 10)
+    want = [np.random.default_rng(np.random.SeedSequence(3, spawn_key=(i,))).integers(0, 245, 10)
+            for i in range(start, start + 4)]
+    assert np.array_equal(got, np.array(want))
+
+
+@pytest.mark.parametrize("high", [3 * 2**30 + 1, 3 * 2**30 + 12345])
+def test_draws_stay_exact_when_lemire_rejects(monkeypatch, high):
+    """Near 3 * 2**30 about a quarter of all draws take Lemire's rejection
+    branch; those children are redone alone and still match numpy."""
+    redone = []
+
+    def counting(seed, children, high, size):
+        redone.extend(children)
+        return numpy_draws(seed, children, high, size)
+
+    numpy_draws = significance._numpy_draws
+    monkeypatch.setattr(significance, "_numpy_draws", counting)
+    for seed in (0, 5, 2**64 + 1):
+        assert np.array_equal(_chunk_draws(seed, 0, 60, high, 9),
+                              _numpy_children(seed, 0, 60, high, 9))
+    assert 0 < len(redone) < 3 * 60
+
+
+def test_draws_refuse_a_bound_past_32_bits():
+    with pytest.raises(ValueError, match="high"):
+        next(_draws(0, 0, 1, 2**32 + 1, 1))
+
+
+def test_p_value_over_a_partial_last_chunk_matches_the_per_child_loop(schema):
+    gold = generate_synthetic(schema, 6, 101)
+    rng = random.Random(3)
+    pred_a = as_pred_corpus(gold, {d.doc_id: perturb_events(d, schema, rng) for d in gold.docs})
+    n_resamples = _CHUNK + 37
+    r = bootstrap_test(gold, pred_a, _empty(gold), n_resamples=n_resamples, seed=17)
+    assert r.observed_delta > 0
+    _, rows_a = per_document_counts(gold, pred_a, "trigger")
+    _, rows_b = per_document_counts(gold, _empty(gold), "trigger")
+    counts = np.array([[a.tp, a.fp, a.fn, b.tp, b.fp, b.fn] for a, b in zip(rows_a, rows_b)])
+    deltas = bootstrap_deltas_reference(counts, 17, n_resamples)
+    assert r.p_value == (np.count_nonzero(deltas > 2 * r.observed_delta) + 1) / (n_resamples + 1)
+
+
+_count_rows = st.lists(
+    st.one_of(st.just([0] * 6), st.lists(st.integers(0, 6), min_size=6, max_size=6)),
+    min_size=1, max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_count_rows, seed=st.one_of(st.integers(0, 2**16), st.integers(0, 2**140)),
+       n_resamples=st.integers(1, 40))
+def test_per_resample_deltas_are_the_per_child_loop_bit_for_bit(rows, seed, n_resamples):
+    counts = np.array(rows, dtype=np.int64)
+    got = _resample_deltas(counts, seed, 0, n_resamples)
+    want = bootstrap_deltas_reference(counts, seed, n_resamples)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 50), st.integers(0, 50)),
+                min_size=1, max_size=30))
+def test_vector_f1_is_precision_recall_f1_bit_for_bit(triples):
+    tp, fp, fn = np.array(triples, dtype=np.int64).T
+    got = _f1(tp, fp, fn)
+    want = np.array([precision_recall_f1(*t)[2] for t in zip(tp, fp, fn)], dtype=np.float64)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
