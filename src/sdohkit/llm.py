@@ -147,6 +147,13 @@ def _check_url(base_url: str) -> None:
         raise ConfigurationError("non-localhost endpoints must use https")
 
 
+def _api_key(env_var: str) -> str:
+    key = os.environ.get(env_var)
+    if not key:
+        raise ConfigurationError(f"API key environment variable {env_var} is not set")
+    return key
+
+
 def _read_reply(payload) -> tuple[str, list[int]]:
     """The completion text and [prompt, completion] token counts of a reply;
     any other shape is a ``TransportError``."""
@@ -171,10 +178,14 @@ class HttpChatClient:
     ``transport`` and ``sleep`` are injectable for tests; the default
     transport uses requests. The concurrency limiter is per client object,
     so share one client across threads to enforce a single budget.
+    ``qa.run_pipeline`` extracts documents on ``max_in_flight`` threads,
+    one per request the budget allows. The URL and the API key are
+    checked when the client is built.
     """
 
     def __init__(self, config: ClientConfig, transport=None, sleep=time.sleep):
         _check_url(config.base_url)
+        _api_key(config.api_key_env)
         self.config = config
         self._transport = transport or _default_transport
         self._sleep = sleep
@@ -182,12 +193,13 @@ class HttpChatClient:
         # Backoff jitter only: seeded from the OS, and no output depends on it.
         self._jitter = random.Random()
 
+    @property
+    def max_in_flight(self) -> int:
+        """The most requests this client sends at once."""
+        return self.config.max_concurrent
+
     def _headers(self) -> dict:
-        key = os.environ.get(self.config.api_key_env)
-        if not key:
-            raise ConfigurationError(
-                f"API key environment variable {self.config.api_key_env} is not set"
-            )
+        key = _api_key(self.config.api_key_env)
         return {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
 
     def complete(self, messages: list[ChatMessage]) -> Completion:

@@ -372,18 +372,34 @@ def test_extract_refuses_a_plain_http_remote_url_before_reading_input(tmp_path, 
     assert "https" in err
 
 
+def test_extract_refuses_a_missing_api_key_before_reading_input(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("SDOHKIT_API_KEY", raising=False)
+    code, _, err = _run(
+        capsys,
+        "extract", "--corpus", tmp_path / "missing.jsonl", "--strategy", "2sqa-base",
+        "--seed", 1, "--client", "http", "--base-url", "http://localhost:9/v1", "--model", "m",
+        "--out", tmp_path / "p.jsonl",
+    )
+    assert code == 3
+    assert "SDOHKIT_API_KEY" in err
+
+
 def test_extract_http_malformed_replies_fail_documents_not_the_run(
     tmp_path, capsys, gold_path, monkeypatch
 ):
     import requests
 
+    # Keyed on the note, not on call order: documents are extracted concurrently.
+    gold_docs = read_corpus_jsonl(gold_path).docs
     none_reply = b'{"choices":[{"message":{"content":"NONE"}}]'
-    bodies = iter([b"not json at all", none_reply + b',"usage":"bad"}'])
+    bodies = {gold_docs[0].document.text: b"not json at all",
+              gold_docs[1].document.text: none_reply + b',"usage":"bad"}'}
 
     def post(url, json, headers, timeout):
+        note = json["messages"][-1]["content"].split("Note:\n", 1)[1]
         resp = requests.Response()
         resp.status_code = 200
-        resp._content = next(bodies, none_reply + b"}")
+        resp._content = bodies.get(note, none_reply + b"}")
         return resp
 
     monkeypatch.setattr(requests, "post", post)

@@ -285,10 +285,21 @@ def test_default_transport_non_json_body_is_transport_error(monkeypatch):
 
 
 def test_http_client_missing_api_key(monkeypatch):
+    """A missing key fails when the client is built; each request reads it again."""
     monkeypatch.delenv("SDOHKIT_API_KEY", raising=False)
+    with pytest.raises(ConfigurationError, match="SDOHKIT_API_KEY"):
+        HttpChatClient(_config(), transport=lambda *a: _ok_payload())
+    monkeypatch.setenv("SDOHKIT_API_KEY", "k")
     client = HttpChatClient(_config(), transport=lambda *a: _ok_payload())
+    monkeypatch.delenv("SDOHKIT_API_KEY")
     with pytest.raises(ConfigurationError, match="SDOHKIT_API_KEY"):
         client.complete([ChatMessage("user", "q")])
+
+
+def test_http_client_max_in_flight_is_the_configured_budget(monkeypatch):
+    monkeypatch.setenv("SDOHKIT_API_KEY", "k")
+    for n in (1, 3):
+        assert HttpChatClient(_config(max_concurrent=n)).max_in_flight == n
 
 
 def test_http_client_requires_https_for_remote(monkeypatch):

@@ -1,16 +1,23 @@
 import dataclasses
 import hashlib
+import json
+import os
 import re
+import sys
 import threading
+import time
+import zlib
+from unittest import mock
 
 import pytest
+import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdohkit import linearizer, qa
-from sdohkit.corpus import AnnotatedDocument, Corpus, Document, Event, TextSpan
+from sdohkit.corpus import AnnotatedDocument, Corpus, Document, Event, TextSpan, corpus_to_jsonl
 from sdohkit.linearizer import parse_events
-from sdohkit.llm import Completion, TransportError
+from sdohkit.llm import ChatMessage, ClientConfig, Completion, HttpChatClient, TransportError
 from sdohkit.qa import (
     FewShotError,
     FewShotPool,
@@ -751,6 +758,184 @@ def test_pipeline_requires_guide_coverage(schema, corpus, train):
     oracle = GoldOracleClient(corpus, schema)
     with pytest.raises(PromptError, match="guide"):
         run_pipeline(corpus, schema, oracle, "2sqa-guide", seed=1, train=train, guide={})
+
+
+# --- concurrent extraction ------------------------------------------------------------------
+
+class _Budgeted:
+    """A client that declares an in-flight budget, so run_pipeline uses threads."""
+
+    def __init__(self, inner, max_in_flight):
+        self.inner = inner
+        self.max_in_flight = max_in_flight
+
+    def complete(self, messages):
+        return self.inner.complete(messages)
+
+
+def _unit(text: str, salt: str) -> float:
+    digest = hashlib.sha256(f"{salt}:{text}".encode()).digest()
+    return int.from_bytes(digest[:8], "big") / 2**64
+
+
+class _SleepyEndpoint:
+    """A transport that answers from the oracle after a 0-3 ms sleep seeded by
+    the request, refuses the first attempt of some requests with a 429 and
+    fails some trigger queries with 500s every time, so replies finish out of
+    order and the failing documents leave partial tallies."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self._attempts = {}
+        self._lock = threading.Lock()
+
+    def __call__(self, url, headers, body, timeout):
+        user = body["messages"][-1]["content"]
+        with self._lock:
+            attempt = self._attempts.get(user, 0)
+            self._attempts[user] = attempt + 1
+        time.sleep(0.003 * _unit(user, "sleep"))
+        if attempt == 0 and _unit(user, "throttle") < 0.1:
+            raise TransportError("endpoint returned 429", status=429)
+        if "\nArgument:" not in user and _unit(user, "fail") < 0.08:
+            raise TransportError("endpoint returned 500", status=500)
+        messages = [ChatMessage(m["role"], m["content"]) for m in body["messages"]]
+        return {"choices": [{"message": {"content": self.oracle.complete(messages).text}}]}
+
+
+def _run_bytes(*args, **kwargs) -> tuple[str, str, list[str]]:
+    pred, metrics = run_pipeline(*args, **kwargs)
+    obj = metrics.to_obj()
+    return corpus_to_jsonl(pred), json.dumps(obj, indent=2, sort_keys=True), obj["failures"]
+
+
+@pytest.mark.parametrize("client_kind", ["oracle", "nonsense", "http"])
+def test_pipeline_outputs_do_not_depend_on_the_in_flight_budget(
+    schema, corpus, train, guide, monkeypatch, client_kind
+):
+    monkeypatch.setenv("SDOHKIT_API_KEY", "k")
+    oracle = GoldOracleClient(corpus, schema)
+
+    def client(budget):
+        if client_kind == "oracle":
+            return _Budgeted(oracle, budget)
+        if client_kind == "nonsense":
+            return _Budgeted(NonsenseClient(), budget)
+        config = ClientConfig("http://localhost:9/v1", "m", max_retries=1, max_concurrent=budget)
+        return HttpChatClient(config, transport=_SleepyEndpoint(oracle), sleep=lambda s: None)
+
+    strategy = {"oracle": "2sqa-guide3shot", "nonsense": "2sqa-base", "http": "2sqa-guide"}
+    runs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so a lost update in a shared cache shows
+    try:
+        for budget in (1, 2, 8):
+            runs[budget] = _run_bytes(
+                corpus, schema, client(budget), strategy[client_kind], seed=3, train=train,
+                guide=guide,
+            )
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[1] == runs[2] == runs[8]
+    failures = runs[1][2]
+    assert failures == [d for d in corpus.doc_ids() if d in failures]
+    if client_kind == "http":
+        assert failures and json.loads(runs[1][1])["retries_total"] > 0
+
+
+class _FailsOn:
+    """Records the notes asked about; raises ``errors[note]`` after ``delays[note]`` s."""
+
+    def __init__(self, corpus, schema, errors, delays=None, max_in_flight=4):
+        self.oracle = GoldOracleClient(corpus, schema)
+        self.errors, self.delays = errors, delays or {}
+        self.max_in_flight = max_in_flight
+        self.notes = set()
+        self._lock = threading.Lock()
+
+    def complete(self, messages):
+        note = messages[-1].content.split("Note:\n", 1)[1]
+        with self._lock:
+            self.notes.add(note)
+        time.sleep(self.delays.get(note, 0.001))
+        if note in self.errors:
+            raise self.errors[note]
+        return self.oracle.complete(messages)
+
+
+def test_pipeline_pool_stops_at_the_first_error_that_is_not_transport(schema):
+    docs = generate_synthetic(schema, 200, 403)
+    budget = 4
+    victim = docs.docs[3].document.text
+    # The first document is slow, so its result is read long after the victim fails.
+    client = _FailsOn(docs, schema, {victim: FewShotError("no examples")},
+                      delays={docs.docs[0].document.text: 0.03}, max_in_flight=budget)
+    with pytest.raises(FewShotError, match="no examples"):
+        run_pipeline(docs, schema, client, "2sqa-base", seed=1)
+    assert victim in client.notes
+    assert len(client.notes) < 3 + 2 * budget
+
+
+def test_pipeline_pool_raises_the_first_failing_document_in_document_order(schema, corpus):
+    slow, fast = corpus.docs[2].document.text, corpus.docs[6].document.text
+    client = _FailsOn(
+        corpus, schema, {slow: ValueError("document 2"), fast: ValueError("document 6")},
+        delays={slow: 0.05, fast: 0.0}, max_in_flight=8,
+    )
+    with pytest.raises(ValueError, match="document 2"):
+        run_pipeline(corpus, schema, client, "2sqa-base", seed=1)
+    assert fast in client.notes  # the later document did fail first
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+_REPLY = _JSON | st.builds(
+    lambda content, usage: {"choices": [{"message": {"content": content}}], "usage": usage},
+    _JSON, _JSON,
+)
+_OUTCOME = st.one_of(
+    st.tuples(st.just("reply"), st.sampled_from([200]) | st.integers(100, 599), _REPLY,
+              st.none() | st.text(max_size=6) | st.integers(0, 99).map(str)),
+    st.tuples(st.just("bytes"), st.just(200), st.binary(max_size=16), st.none()),
+    st.tuples(st.just("raise"), st.sampled_from([
+        requests.Timeout, requests.ConnectionError, requests.exceptions.ChunkedEncodingError,
+        requests.exceptions.ContentDecodingError,
+    ]), st.none(), st.none()),
+)
+
+
+@pytest.mark.parametrize("max_concurrent", [1, 4])
+@settings(max_examples=60, deadline=None)
+@given(outcomes=st.lists(_OUTCOME, min_size=1, max_size=6))
+def test_pipeline_survives_any_endpoint_reply(schema, corpus, max_concurrent, outcomes):
+    """Whatever the endpoint sends, every document is extracted or listed in
+    failures, and nothing else is raised. A request's outcome is keyed on its
+    content, so it does not depend on which thread sends it."""
+    few = Corpus(corpus.docs[:3])
+
+    def post(url, headers, timeout, **kw):
+        kind, status, value, retry_after = outcomes[zlib.crc32(repr(kw["json"]).encode()) % len(outcomes)]
+        if kind == "raise":
+            raise status("drawn")
+        resp = requests.Response()
+        resp.status_code = status
+        resp._content = value if kind == "bytes" else json.dumps(value).encode()
+        if retry_after is not None:
+            resp.headers["Retry-After"] = retry_after
+        return resp
+
+    config = ClientConfig("http://localhost:9/v1", "m", max_retries=2, max_concurrent=max_concurrent)
+    with mock.patch.object(requests, "post", post), \
+            mock.patch.dict(os.environ, {"SDOHKIT_API_KEY": "k"}):
+        client = HttpChatClient(config, sleep=lambda s: None)
+        pred, metrics = run_pipeline(few, schema, client, "2sqa-base", seed=1)
+    assert pred.doc_ids() == few.doc_ids()
+    for adoc in pred.docs:
+        assert adoc.doc_id not in metrics.failures or adoc.events == []
+    assert metrics.failures == [d for d in few.doc_ids() if d in metrics.failures]
 
 
 # --- fine-tune export ----------------------------------------------------------------------
