@@ -15,7 +15,9 @@ carries metadata (status, latency, retry counts) only.
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
+import math
 import os
 import random
 import threading
@@ -73,8 +75,12 @@ class ClientConfig:
             raise ConfigurationError("max_retries must be >= 0")
         if self.max_concurrent < 1:
             raise ConfigurationError("max_concurrent must be >= 1")
-        if self.temperature < 0:
-            raise ConfigurationError("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:
+            raise ConfigurationError("temperature must be finite and >= 0")
+        if not 0 < self.request_timeout < math.inf:
+            raise ConfigurationError("request_timeout must be finite and > 0")
+        if self.max_tokens < 1:
+            raise ConfigurationError("max_tokens must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -103,6 +109,7 @@ def _check_messages(messages: list[ChatMessage]) -> None:
 
 
 _RETRYABLE = {429}
+_LOOPBACK = {("http", "localhost"), ("http", "127.0.0.1"), ("http", "::1")}
 
 
 def _retry_after(value: str | None) -> float | None:
@@ -113,37 +120,43 @@ def _retry_after(value: str | None) -> float | None:
 
 
 def _default_transport(url: str, headers: dict, body: dict, timeout: float):
-    import requests
+    import http.client
 
+    parts = urlsplit(url)
+    connection = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+    conn = connection(parts.hostname, parts.port, timeout=timeout)
     try:
-        resp = requests.post(url, json=body, headers=headers, timeout=timeout)
-    except requests.Timeout as exc:
+        target = parts.path + (f"?{parts.query}" if parts.query else "")
+        conn.request("POST", target, json.dumps(body).encode(), headers)
+        resp = conn.getresponse()
+        data = resp.read()
+    except TimeoutError as exc:
         raise TransportError(f"request timed out after {timeout}s") from exc
-    except requests.RequestException as exc:
+    except (OSError, http.client.HTTPException) as exc:
         raise TransportError(f"request failed: {type(exc).__name__}") from exc
-    if resp.status_code != 200:
-        raise TransportError(
-            f"endpoint returned {resp.status_code}",
-            status=resp.status_code,
-            retry_after=_retry_after(resp.headers.get("Retry-After")),
-        )
+    finally:
+        conn.close()
+    if resp.status != 200:
+        raise TransportError(f"endpoint returned {resp.status}", status=resp.status,
+                             retry_after=_retry_after(resp.getheader("Retry-After")))
     try:
-        return resp.json()
-    except ValueError as exc:
+        return json.loads(data)
+    except (ValueError, RecursionError) as exc:
         raise TransportError("endpoint returned a body that is not JSON", status=200) from exc
 
 
 def _check_url(base_url: str) -> None:
     try:
         url = urlsplit(base_url)
+        url.port  # a port that is not a number in range raises here
     except ValueError as exc:
         raise ConfigurationError(f"base_url: {exc}") from None
-    if url.scheme == "https":
-        return
-    # requests parses with urllib3, which ends the host at a backslash and keeps
-    # the tabs and newlines urlsplit drops; a plain-HTTP URL must read alike to both.
-    if (url.hostname not in ("localhost", "127.0.0.1", "::1") or url.username is not None
-            or any(c in "\\\t\r\n" for c in base_url)):
+    # The API key is the only credential. http.client sends the URL as ASCII with no space
+    # or control character; urlsplit drops tabs and newlines; other parsers end a host at "\\".
+    plain = base_url.isascii() and base_url.isprintable() and not any(c in " \\" for c in base_url)
+    if not (plain and url.hostname) or url.username is not None:
+        raise ConfigurationError("base_url needs a host and no userinfo, space, \\ or control char")
+    if url.scheme != "https" and (url.scheme, url.hostname) not in _LOOPBACK:
         raise ConfigurationError("non-localhost endpoints must use https")
 
 
@@ -175,12 +188,13 @@ def _read_reply(payload) -> tuple[str, list[int]]:
 class HttpChatClient:
     """Chat-completion client with retry, backoff, and a request budget.
 
-    ``transport`` and ``sleep`` are injectable for tests; the default
-    transport uses requests. The concurrency limiter is per client object,
-    so share one client across threads to enforce a single budget.
-    ``qa.run_pipeline`` extracts documents on ``max_in_flight`` threads,
-    one per request the budget allows. The URL and the API key are
-    checked when the client is built.
+    ``transport`` and ``sleep`` are injectable for tests. The default transport
+    opens an ``http.client`` connection per request to the host the https rule
+    checked; it reads no proxy variables or ``.netrc``, and verifies TLS. The
+    concurrency limiter is per client object, so share one client across
+    threads to enforce a single budget. ``qa.run_pipeline`` extracts documents
+    on ``max_in_flight`` threads, one per request the budget allows. The URL
+    and the API key are checked when the client is built.
     """
 
     def __init__(self, config: ClientConfig, transport=None, sleep=time.sleep):

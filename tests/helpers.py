@@ -4,12 +4,16 @@ The matching oracle enumerates one-to-one matchings exhaustively, so it is
 only usable on small documents; the scorer must agree with it on randomly
 generated instances. The span-repair, bootstrap, per-document scoring and
 few-shot sampling references are the straightforward implementations the
-library's faster ones must match.
+library's faster ones must match. ``loopback_endpoint`` is a chat endpoint on
+127.0.0.1 for tests of the real HTTP transport.
 """
 
+import contextlib
 import random
 import re
 import string
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
@@ -456,3 +460,41 @@ def sample_fewshot_reference(train: Corpus, target, kind: str, seed) -> FewShotS
     examples = [pick_example(pos_docs[0], True), pick_example(pos_docs[1], True),
                 pick_example(neg_doc, False)]
     return FewShotSet(examples, "two-positive-one-negative")
+
+
+@contextlib.contextmanager
+def loopback_endpoint(reply):
+    """Serve POSTs on 127.0.0.1 until the block ends; yields ``(url, seen)``.
+
+    ``reply(headers, body)`` answers each request with ``(status, headers,
+    body bytes)``, written as given (a ``Content-Length`` header overrides the
+    body's own length), or with None to close the connection unanswered.
+    ``seen`` collects each request's ``(path, headers, body)``.
+    """
+    seen = []
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = self.rfile.read(int(self.headers["Content-Length"]))
+            seen.append((self.path, self.headers, body))
+            answer = reply(self.headers, body)
+            if answer is not None:
+                status, headers, data = answer
+                head = {"Content-Length": len(data), **headers}
+                lines = [f"HTTP/1.0 {status} Reply", *(f"{k}: {v}" for k, v in head.items())]
+                self.wfile.write("\r\n".join(lines + ["", ""]).encode() + data)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    server.daemon_threads = False  # so server_close waits for every handler
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01})
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions", seen
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()

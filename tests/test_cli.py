@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import loopback_endpoint
 from sdohkit import cli, qa
 from sdohkit.brat import import_brat_dir
 from sdohkit.cli import main
@@ -384,33 +385,47 @@ def test_extract_refuses_a_missing_api_key_before_reading_input(tmp_path, capsys
     assert "SDOHKIT_API_KEY" in err
 
 
+@pytest.mark.parametrize(
+    "option, value, field",
+    [("--temperature", "nan", "temperature"), ("--timeout", "0", "request_timeout"),
+     ("--timeout", "-1", "request_timeout"), ("--timeout", "nan", "request_timeout"),
+     ("--max-tokens", "0", "max_tokens")],
+)
+def test_extract_refuses_an_unusable_client_setting_before_reading_input(
+    tmp_path, capsys, monkeypatch, option, value, field
+):
+    monkeypatch.setenv("SDOHKIT_API_KEY", "k")
+    code, _, err = _run(
+        capsys,
+        "extract", "--corpus", tmp_path / "missing.jsonl", "--strategy", "2sqa-base",
+        "--seed", 1, "--client", "http", "--base-url", "http://localhost:9/v1", "--model", "m",
+        "--out", tmp_path / "p.jsonl", option, value,
+    )
+    assert code == 3
+    assert field in err
+
+
 def test_extract_http_malformed_replies_fail_documents_not_the_run(
     tmp_path, capsys, gold_path, monkeypatch
 ):
-    import requests
-
     # Keyed on the note, not on call order: documents are extracted concurrently.
     gold_docs = read_corpus_jsonl(gold_path).docs
     none_reply = b'{"choices":[{"message":{"content":"NONE"}}]'
     bodies = {gold_docs[0].document.text: b"not json at all",
               gold_docs[1].document.text: none_reply + b',"usage":"bad"}'}
 
-    def post(url, json, headers, timeout):
-        note = json["messages"][-1]["content"].split("Note:\n", 1)[1]
-        resp = requests.Response()
-        resp.status_code = 200
-        resp._content = bodies.get(note, none_reply + b"}")
-        return resp
+    def reply(headers, body):
+        note = json.loads(body)["messages"][-1]["content"].split("Note:\n", 1)[1]
+        return 200, {}, bodies.get(note, none_reply + b"}")
 
-    monkeypatch.setattr(requests, "post", post)
     monkeypatch.setenv("SDOHKIT_API_KEY", "k")
     pred = tmp_path / "pred.jsonl"
-    code, stdout, _ = _run(
-        capsys,
-        "extract", "--corpus", gold_path, "--strategy", "2sqa-base", "--seed", 1,
-        "--client", "http", "--base-url", "http://localhost:9/v1", "--model", "m",
-        "--out", pred,
-    )
+    with loopback_endpoint(reply) as (url, _):
+        code, stdout, _ = _run(
+            capsys,
+            "extract", "--corpus", gold_path, "--strategy", "2sqa-base", "--seed", 1,
+            "--client", "http", "--base-url", url, "--model", "m", "--out", pred,
+        )
     assert code == 0
     assert "2 failures" in stdout
     metrics = json.loads((tmp_path / "pred.jsonl.metrics.json").read_text())

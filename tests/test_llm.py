@@ -1,8 +1,11 @@
+import json
 import random
 import threading
+import time
 
 import pytest
 
+from helpers import loopback_endpoint
 from sdohkit.llm import (
     ChatMessage,
     ClientConfig,
@@ -37,12 +40,13 @@ def test_chat_message_validation():
 
 
 def test_config_invariants():
-    with pytest.raises(ConfigurationError):
-        _config(max_retries=-1)
-    with pytest.raises(ConfigurationError):
-        _config(max_concurrent=0)
-    with pytest.raises(ConfigurationError):
-        _config(temperature=-0.5)
+    nan, inf = float("nan"), float("inf")
+    for field, value in [("max_retries", -1), ("max_concurrent", 0), ("temperature", -0.5),
+                         ("temperature", nan), ("temperature", inf), ("request_timeout", 0),
+                         ("request_timeout", -1), ("request_timeout", nan),
+                         ("request_timeout", inf), ("max_tokens", 0)]:
+        with pytest.raises(ConfigurationError, match=field):
+            _config(**{field: value})
 
 
 def test_fingerprint_stability():
@@ -180,20 +184,64 @@ def test_backoff_jitter_leaves_no_trace_in_the_global_random_state(monkeypatch):
     [("7", 7.0), (" 12 ", 12.0), (None, None), ("", None), ("soon", None), ("-1", None),
      ("1.5", None), ("\u0662", None), ("Wed, 21 Oct 2015 07:28:00 GMT", None)],
 )
-def test_default_transport_reads_delta_seconds_retry_after(monkeypatch, header, retry_after):
-    import requests
-
-    def post(url, json, headers, timeout):
-        resp = requests.Response()
-        resp.status_code = 503
-        if header is not None:
-            resp.headers["Retry-After"] = header
-        return resp
-
-    monkeypatch.setattr(requests, "post", post)
-    with pytest.raises(TransportError) as info:
-        _default_transport("http://localhost:9/v1/chat", {}, {}, 1.0)
+def test_default_transport_reads_delta_seconds_retry_after(header, retry_after):
+    """The header goes on the wire as UTF-8, so a non-ASCII digit arrives as
+    the Latin-1 reading of its bytes."""
+    headers = {} if header is None else {"Retry-After": header}
+    with loopback_endpoint(lambda *request: (503, headers, b"")) as (url, _):
+        with pytest.raises(TransportError) as info:
+            _default_transport(url, {}, {}, 5.0)
     assert (info.value.status, info.value.retry_after) == (503, retry_after)
+
+
+def _slow(headers, body):
+    time.sleep(0.3)
+    return 200, {}, json.dumps(_ok_payload()).encode()
+
+
+@pytest.mark.parametrize(
+    "reply, message",
+    [(_slow, "timed out after 0.1s"),
+     (lambda *request: (200, {"Content-Length": 100}, b'{"choices": '), "IncompleteRead"),
+     (lambda *request: None, "RemoteDisconnected")],
+    ids=["slower-than-the-timeout", "shorter-than-content-length", "closed-unanswered"],
+)
+def test_default_transport_failed_reply_is_retryable_transport_error(reply, message):
+    with loopback_endpoint(reply) as (url, seen):
+        with pytest.raises(TransportError, match=message) as info:
+            _default_transport(url, {}, {}, 0.1)
+    assert info.value.status is None and len(seen) == 1
+
+
+def test_default_transport_posts_the_body_to_the_url_path_and_query(monkeypatch):
+    monkeypatch.setenv("SDOHKIT_API_KEY", "k")
+    reply = json.dumps(_ok_payload()).encode()
+    with loopback_endpoint(lambda *request: (200, {}, reply)) as (url, seen):
+        client = HttpChatClient(_config(base_url=url + "?api-version=1", max_tokens=7))
+        assert client.complete([ChatMessage("user", "q")]).text == "hello"
+    [(path, headers, body)] = seen
+    assert path == "/v1/chat/completions?api-version=1"
+    assert headers["Content-Type"] == "application/json"
+    assert json.loads(body) == {"model": "m", "messages": [{"role": "user", "content": "q"}],
+                                "max_tokens": 7, "temperature": 0.0}
+
+
+def test_default_transport_sends_the_key_and_no_other_credential(tmp_path, monkeypatch):
+    """No ``.netrc`` entry replaces the key and no proxy variable reroutes the request."""
+    netrc = tmp_path / ".netrc"
+    netrc.write_text("machine 127.0.0.1 login alice password s3cret\n")
+    netrc.chmod(0o600)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.delenv("NETRC", raising=False)
+    for var in ("HTTP_PROXY", "http_proxy", "ALL_PROXY", "all_proxy"):
+        monkeypatch.setenv(var, "http://127.0.0.1:1")
+    for var in ("NO_PROXY", "no_proxy"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("SDOHKIT_API_KEY", "k")
+    reply = json.dumps(_ok_payload()).encode()
+    with loopback_endpoint(lambda *request: (200, {}, reply)) as (url, seen):
+        HttpChatClient(_config(base_url=url, max_retries=0)).complete([ChatMessage("user", "q")])
+    assert [headers["Authorization"] for _, headers, _ in seen] == ["Bearer k"]
 
 
 def test_http_client_exhausts_retries(monkeypatch):
@@ -264,24 +312,14 @@ def test_http_client_missing_token_counts_read_as_zero(monkeypatch, usage, token
 
 
 def test_default_transport_non_json_body_is_transport_error(monkeypatch):
-    import requests
-
     monkeypatch.setenv("SDOHKIT_API_KEY", "k")
-    posts = []
-
-    def post(url, json, headers, timeout):
-        posts.append(url)
-        resp = requests.Response()
-        resp.status_code = 200
-        resp._content = b"<html>gateway page</html>"
-        return resp
-
-    monkeypatch.setattr(requests, "post", post)
-    client = HttpChatClient(_config(max_retries=3), sleep=lambda s: None)
-    with pytest.raises(TransportError, match="not JSON") as info:
-        client.complete([ChatMessage("user", "q")])
-    assert info.value.status == 200
-    assert len(posts) == 1
+    for body in (b"<html>gateway page</html>", b"\xff\xfe{"):
+        with loopback_endpoint(lambda *request: (200, {}, body)) as (url, seen):
+            client = HttpChatClient(_config(base_url=url, max_retries=3), sleep=lambda s: None)
+            with pytest.raises(TransportError, match="not JSON") as info:
+                client.complete([ChatMessage("user", "q")])
+        assert info.value.status == 200
+        assert len(seen) == 1
 
 
 def test_http_client_missing_api_key(monkeypatch):
@@ -304,9 +342,10 @@ def test_http_client_max_in_flight_is_the_configured_budget(monkeypatch):
 
 def test_http_client_requires_https_for_remote(monkeypatch):
     """The rule reads the URL's host: userinfo before '@' is not the host, and
-    a bracketed IPv6 loopback is local. A plain-HTTP URL with userinfo, a
-    backslash or a tab is refused, since urllib3 may read another host there.
-    A refused URL fails when the client is built, before any request."""
+    a bracketed IPv6 loopback is local. A URL of any scheme with userinfo, a
+    backslash or a tab is refused: the API key is the only credential, and
+    another parser may read another host there. A refused URL fails when the
+    client is built, before any request."""
     monkeypatch.setenv("SDOHKIT_API_KEY", "k")
     sent = []
 
@@ -317,7 +356,10 @@ def test_http_client_requires_https_for_remote(monkeypatch):
     refused = ["http://example.com/v1", "http://127.0.0.1:80@example.com/v1",
                "http://localhost@example.com/v1", "localhost:9/v1", "http://[::1/v1",
                "http://example.com\\@localhost/v1", "http://user@localhost@example.com/v1",
-               "http://user@localhost/v1", "http://local\thost/v1"]
+               "http://user@localhost/v1", "http://local\thost/v1",
+               "https://u:pw@api.example.com/v1", "https:///v1", "ftp://localhost/v1",
+               "http://localhost:99999/v1", "https://api.example.com/v1 chat",
+               "https://api.example.com/v1/\u00e9"]
     for url in refused:
         with pytest.raises(ConfigurationError, match="https|base_url"):
             HttpChatClient(_config(base_url=url), transport=transport)

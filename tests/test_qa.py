@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import http.client
 import json
 import os
 import re
@@ -10,7 +11,6 @@ import zlib
 from unittest import mock
 
 import pytest
-import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -42,7 +42,7 @@ from sdohkit.schema import ArgumentDef, EventTypeDef, Schema, SchemaError
 from sdohkit.scoring import score_corpus
 from sdohkit.synth import generate_fewshot_train, generate_synthetic
 
-from helpers import sample_fewshot_reference
+from helpers import loopback_endpoint, sample_fewshot_reference
 
 
 @pytest.fixture(scope="module")
@@ -528,6 +528,18 @@ def test_pipeline_transport_failure_recorded(schema, corpus):
     assert len(pred.docs) == len(corpus.docs)
 
 
+def test_pipeline_survives_a_deeply_nested_reply(schema, corpus, monkeypatch):
+    """A reply nested past the JSON decoder's recursion limit fails its
+    document; it does not abort the run."""
+    monkeypatch.setenv("SDOHKIT_API_KEY", "k")
+    few = Corpus(corpus.docs[:2])
+    with loopback_endpoint(lambda *request: (200, {}, b"[" * 100_000)) as (url, _):
+        client = HttpChatClient(ClientConfig(url, "m", max_retries=0), sleep=lambda s: None)
+        pred, metrics = run_pipeline(few, schema, client, "2sqa-base", seed=1)
+    assert metrics.failures == few.doc_ids()
+    assert pred.doc_ids() == few.doc_ids() and all(d.events == [] for d in pred.docs)
+
+
 @pytest.mark.parametrize("content", [None, 5, ["NONE"], {"text": "NONE"}])
 def test_pipeline_reply_content_that_is_not_text_fails_the_document(
     schema, corpus, monkeypatch, content
@@ -901,8 +913,7 @@ _OUTCOME = st.one_of(
               st.none() | st.text(max_size=6) | st.integers(0, 99).map(str)),
     st.tuples(st.just("bytes"), st.just(200), st.binary(max_size=16), st.none()),
     st.tuples(st.just("raise"), st.sampled_from([
-        requests.Timeout, requests.ConnectionError, requests.exceptions.ChunkedEncodingError,
-        requests.exceptions.ContentDecodingError,
+        TimeoutError, ConnectionResetError, http.client.RemoteDisconnected, http.client.IncompleteRead,
     ]), st.none(), st.none()),
 )
 
@@ -916,19 +927,32 @@ def test_pipeline_survives_any_endpoint_reply(schema, corpus, max_concurrent, ou
     content, so it does not depend on which thread sends it."""
     few = Corpus(corpus.docs[:3])
 
-    def post(url, headers, timeout, **kw):
-        kind, status, value, retry_after = outcomes[zlib.crc32(repr(kw["json"]).encode()) % len(outcomes)]
-        if kind == "raise":
-            raise status("drawn")
-        resp = requests.Response()
-        resp.status_code = status
-        resp._content = value if kind == "bytes" else json.dumps(value).encode()
-        if retry_after is not None:
-            resp.headers["Retry-After"] = retry_after
-        return resp
+    class Connection:
+        """Stands in for ``http.client.HTTPConnection`` and its response."""
+
+        def __init__(self, host, port, timeout):
+            pass
+
+        def request(self, method, target, body, headers):
+            self.kind, self.status, self.value, self.retry_after = \
+                outcomes[zlib.crc32(body) % len(outcomes)]
+
+        def getresponse(self):
+            if self.kind == "raise":
+                raise self.status("drawn")
+            return self
+
+        def getheader(self, name):
+            return self.retry_after if name == "Retry-After" else None
+
+        def read(self):
+            return self.value if self.kind == "bytes" else json.dumps(self.value).encode()
+
+        def close(self):
+            pass
 
     config = ClientConfig("http://localhost:9/v1", "m", max_retries=2, max_concurrent=max_concurrent)
-    with mock.patch.object(requests, "post", post), \
+    with mock.patch.object(http.client, "HTTPConnection", Connection), \
             mock.patch.dict(os.environ, {"SDOHKIT_API_KEY": "k"}):
         client = HttpChatClient(config, sleep=lambda s: None)
         pred, metrics = run_pipeline(few, schema, client, "2sqa-base", seed=1)
