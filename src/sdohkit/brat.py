@@ -27,6 +27,8 @@ class AnnFormatError(ValueError):
 # would split its T line, so the T text field carries a space in its place.
 _BREAKS = "\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _FIELD_SAFE = str.maketrans(dict.fromkeys(_BREAKS, " "))
+# line kind -> (tab fields, name in errors)
+_FIELDS = {"T": (3, "text-bound"), "E": (2, "event"), "A": (2, "attribute")}
 
 
 def parse_ann(
@@ -40,7 +42,7 @@ def parse_ann(
     substring and warned about; schema violations are warned but kept.
     """
     tb: dict[str, tuple[str, int, int, str, int]] = {}  # id -> (label, start, end, text, line)
-    ev_lines: list[tuple[str, str, str, int]] = []  # (eid, label, tref, line)
+    ev_lines: dict[str, tuple[str, str, int]] = {}  # eid -> (label, tref, line)
     attrs: list[tuple[str, str, str, str, int]] = []  # (aid, name, eref, value, line)
     warnings: list[str] = []
     dropped_tb: set[str] = set()
@@ -53,10 +55,13 @@ def parse_ann(
             continue
         if kind == "R":
             raise AnnFormatError(f"line {lineno}: relation lines are not part of this scheme")
+        if kind not in _FIELDS:
+            raise AnnFormatError(f"line {lineno}: unrecognized annotation kind {kind!r}")
         fields = line.split("\t")
+        n_fields, what = _FIELDS[kind]
+        if len(fields) != n_fields:
+            raise AnnFormatError(f"line {lineno}: {what} line needs {n_fields} tab fields")
         if kind == "T":
-            if len(fields) != 3:
-                raise AnnFormatError(f"line {lineno}: text-bound line needs 3 tab fields")
             tid, type_span, text = fields
             if ";" in type_span:
                 warnings.append(f"line {lineno}: discontinuous span dropped ({tid})")
@@ -74,33 +79,27 @@ def parse_ann(
                 raise AnnFormatError(f"line {lineno}: duplicate id {tid}")
             tb[tid] = (label, start, end, text, lineno)
         elif kind == "E":
-            if len(fields) != 2:
-                raise AnnFormatError(f"line {lineno}: event line needs 2 tab fields")
             eid, binding = fields
             if " " in binding.strip():
                 raise AnnFormatError(f"line {lineno}: event arguments beyond the trigger are not supported")
             if ":" not in binding:
                 raise AnnFormatError(f"line {lineno}: event line needs 'Label:Tref'")
             label, tref = binding.split(":", 1)
-            if any(e[0] == eid for e in ev_lines):
+            if eid in ev_lines:
                 raise AnnFormatError(f"line {lineno}: duplicate id {eid}")
-            ev_lines.append((eid, label, tref, lineno))
-        elif kind == "A":
-            if len(fields) != 2:
-                raise AnnFormatError(f"line {lineno}: attribute line needs 2 tab fields")
+            ev_lines[eid] = (label, tref, lineno)
+        else:
             aid, rest = fields
             parts = rest.split(" ", 2)
             if len(parts) != 3:
                 raise AnnFormatError(f"line {lineno}: expected 'Name Eref Value'")
             name, eref, value = parts
             attrs.append((aid, name, eref, value, lineno))
-        else:
-            raise AnnFormatError(f"line {lineno}: unrecognized annotation kind {kind!r}")
 
     events: list[Event] = []
     by_eid: dict[str, Event] = {}
     seen_keys: set[tuple[str, int, int]] = set()
-    for eid, label, tref, lineno in ev_lines:
+    for eid, (label, tref, lineno) in ev_lines.items():
         if tref in dropped_tb:
             warnings.append(f"line {lineno}: {eid} references dropped span {tref}")
             continue
@@ -128,7 +127,7 @@ def parse_ann(
 
     for aid, name, eref, value, lineno in attrs:
         if eref not in by_eid:
-            if any(e[0] == eref for e in ev_lines):
+            if eref in ev_lines:
                 # attribute on an event that was dropped above
                 warnings.append(f"line {lineno}: {aid} attached to dropped event {eref}")
                 continue

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import warnings
 from dataclasses import dataclass, field
 from datetime import date
 
@@ -189,10 +190,16 @@ class Section:
 
 
 def _compile_rules(rules: list[str]) -> list[re.Pattern]:
-    try:
-        return [re.compile(p) for p in rules]
-    except re.error as exc:
-        raise CorpusError(f"invalid rule pattern {exc.pattern!r}: {exc}") from None
+    compiled = []
+    with warnings.catch_warnings():
+        # Refuse a pattern whose meaning a later Python changes ("possible nested set").
+        warnings.simplefilter("error", FutureWarning)
+        for pattern in rules:
+            try:
+                compiled.append(re.compile(pattern))
+            except (re.error, FutureWarning) as exc:
+                raise CorpusError(f"invalid rule pattern {pattern!r}: {exc}") from None
+    return compiled
 
 
 def _iter_lines(text: str):

@@ -81,6 +81,8 @@ class ClientConfig:
             raise ConfigurationError("request_timeout must be finite and > 0")
         if self.max_tokens < 1:
             raise ConfigurationError("max_tokens must be >= 1")
+        if not 0 <= self.backoff_base < math.inf:
+            raise ConfigurationError("backoff_base must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ covers the ten social-history event types, two of which (``ProvisionalEventA``,
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import TYPE_CHECKING
@@ -66,22 +67,23 @@ class EventTypeDef:
     name: str
     arguments: tuple[ArgumentDef, ...]
     report_group: str = ""
+    _by_name: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_identifier(self.name, "event type")
         if not self.report_group:
             # every event type always has a reporting row
             object.__setattr__(self, "report_group", self.name)
-        names = [a.name for a in self.arguments]
-        for n in names:
-            if names.count(n) > 1:
-                raise SchemaError(f"event type {self.name!r} has duplicate argument {n!r}")
+        by_name = {a.name: a for a in self.arguments}
+        if len(by_name) < len(self.arguments):
+            # Counter keeps first-occurrence order: the first declared name that repeats.
+            counts = Counter(a.name for a in self.arguments)
+            n = next(n for n, k in counts.items() if k > 1)
+            raise SchemaError(f"event type {self.name!r} has duplicate argument {n!r}")
+        object.__setattr__(self, "_by_name", by_name)
 
     def argument(self, name: str) -> ArgumentDef | None:
-        for a in self.arguments:
-            if a.name == name:
-                return a
-        return None
+        return self._by_name.get(name)
 
     @property
     def required_arguments(self) -> tuple[ArgumentDef, ...]:
@@ -98,7 +100,7 @@ class Schema:
 
     version: str
     event_types: tuple[EventTypeDef, ...]
-    _by_name: dict = field(default_factory=dict, repr=False, compare=False)
+    _by_name: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         by_name = {}

@@ -54,12 +54,13 @@ class Counts:
         return self.tp + self.fp + self.fn
 
 
-def precision_recall_f1(tp, fp, fn) -> tuple[float, float, float]:
-    """Precision, recall, F1 as fractions; zero denominators give 0.0."""
-    p = tp / (tp + fp) if tp + fp else 0.0
-    r = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * p * r / (p + r) if p + r else 0.0
-    return p, r, f1
+def precision_recall_f1(tp, fp, fn):
+    """Precision, recall, F1 of non-negative int counts, or of equal-shaped int
+    arrays. A zero denominator has a zero numerator, so dividing by
+    ``den + (den == 0)`` gives 0.0 there without a branch."""
+    p = tp / (tp + fp + (tp + fp == 0))
+    r = tp / (tp + fn + (tp + fn == 0))
+    return p, r, 2 * p * r / (p + r + (p + r == 0))
 
 
 def prf(c: Counts) -> tuple[float, float, float]:
@@ -173,13 +174,20 @@ def _sum_level(per_doc: dict[str, DocCounts], level: str) -> dict:
 
 
 def per_document_counts(
-    gold: Corpus, pred: Corpus, level: str, key=None
+    gold: Corpus, pred: Corpus, level: str, key: str | None = None
 ) -> tuple[list[str], list[Counts]]:
     """Counts per document at one level, pooled over keys (micro) or for one
     key; documents are returned in sorted doc_id order. Used by the bootstrap
-    test so resampling can re-sum cached counts instead of re-matching."""
+    test so resampling can re-sum cached counts instead of re-matching.
+    ``key`` is a report key: an event type, or at the argument level
+    "EventType.Argument", split at its last '.' (argument names hold none)."""
     if level not in LEVELS:
         raise ScoringError(f"unknown level {level!r}")
+    if key is not None and level == "argument":
+        if "." not in key:
+            raise ScoringError(f"key {key!r} does not fit the argument level, which takes "
+                               "EventType.Argument")
+        key = tuple(key.rsplit(".", 1))
     per_doc = corpus_doc_counts(gold, pred)
     doc_ids = sorted(per_doc)
     rows = []
@@ -274,11 +282,8 @@ def aggregate(counts_by_level: dict, schema: Schema | None = None) -> ScoreRepor
             if c.support > 0:
                 supported_rows.append(row)
             event_type = key[0] if isinstance(key, tuple) else key
-            group = event_type
-            if schema is not None:
-                et = schema.event_type(event_type)
-                if et is not None:
-                    group = et.report_group
+            et = schema.event_type(event_type) if schema is not None else None
+            group = et.report_group if et is not None else event_type
             group_counts[group] = group_counts.get(group, Counts()) + c
         for group, c in group_counts.items():
             report.groups[(level, group)] = Row.from_counts(c)

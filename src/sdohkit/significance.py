@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus
-from .scoring import ScoringError, per_document_counts
+from .scoring import ScoringError, per_document_counts, precision_recall_f1
 
 
 @dataclass(frozen=True)
@@ -54,17 +54,6 @@ class BootstrapResult:
             "seed": self.seed,
             "significant_at_0.05": self.significant,
         }
-
-
-def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    return np.where(den != 0, num / np.where(den != 0, den, 1), 0.0)
-
-
-def _f1(tp: np.ndarray, fp: np.ndarray, fn: np.ndarray) -> np.ndarray:
-    """``precision_recall_f1``'s F1 over arrays, in its float order."""
-    p = _ratio(tp, tp + fp)
-    r = _ratio(tp, tp + fn)
-    return _ratio(2 * p * r, p + r)
 
 
 # numpy's SeedSequence constants (pool of four 32-bit words) and PCG64's multiplier.
@@ -209,7 +198,7 @@ def _resample_deltas(counts: np.ndarray, seed: int, start: int, stop: int) -> np
     totals = np.zeros((stop - start, counts.shape[1]), dtype=np.int64)
     for draw in _draws(seed, start, stop, n_docs, n_docs):
         totals += counts.take(draw, axis=0)
-    return _f1(*totals[:, :3].T) - _f1(*totals[:, 3:].T)
+    return precision_recall_f1(*totals[:, :3].T)[2] - precision_recall_f1(*totals[:, 3:].T)[2]
 
 
 def bootstrap_test(
@@ -224,24 +213,17 @@ def bootstrap_test(
     """Paired document-level bootstrap of F1(A) - F1(B).
 
     ``key=None`` tests the micro average at the given level; otherwise the
-    named event type, or at argument level "EventType.Argument", split at
-    its last '.' since argument names hold none. An argument-level key
-    without a '.', or a key that occurs in no gold or predicted event at
-    that level, raises ``ScoringError``: it would otherwise read as "no
+    one key, in the text form ``per_document_counts`` takes. A key that does
+    not fit the level, or that occurs in no gold or predicted event at that
+    level, raises ``ScoringError``: it would otherwise read as "no
     difference".
     """
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ValueError("seed must be a non-negative integer")
     if n_resamples < 1:
         raise ValueError("n_resamples must be >= 1")
-    table_key = key
-    if key is not None and level == "argument":
-        table_key = tuple(key.rsplit(".", 1))
-        if len(table_key) != 2:
-            raise ScoringError(f"key {key!r} does not fit the argument level, which takes "
-                               "EventType.Argument")
-    doc_ids, rows_a = per_document_counts(gold, pred_a, level, table_key)
-    _, rows_b = per_document_counts(gold, pred_b, level, table_key)
+    doc_ids, rows_a = per_document_counts(gold, pred_a, level, key)
+    _, rows_b = per_document_counts(gold, pred_b, level, key)
     n_docs = len(doc_ids)
     if n_docs == 0:
         raise ValueError("cannot bootstrap an empty corpus")
@@ -250,7 +232,7 @@ def bootstrap_test(
     if key is not None and not counts.any():
         raise ScoringError(f"key {key!r} occurs in no gold or predicted event at the {level} level")
 
-    f1_a, f1_b = _f1(*counts.sum(axis=0).reshape(2, 3).T).tolist()
+    f1_a, f1_b = precision_recall_f1(*counts.sum(axis=0).reshape(2, 3).T)[2].tolist()
     delta = f1_a - f1_b
     if delta <= 0:
         return BootstrapResult(delta, 1.0, n_resamples, seed, level, key, f1_a, f1_b)

@@ -2,9 +2,9 @@
 
 The matching oracle enumerates one-to-one matchings exhaustively, so it is
 only usable on small documents; the scorer must agree with it on randomly
-generated instances. The span-repair, bootstrap, per-document scoring and
-few-shot sampling references are the straightforward implementations the
-library's faster ones must match. ``loopback_endpoint`` is a chat endpoint on
+generated instances. The span-repair, bootstrap, F1, per-document scoring,
+standoff parsing and few-shot sampling references are the straightforward
+implementations the library's faster or shorter ones must match. ``loopback_endpoint`` is a chat endpoint on
 127.0.0.1 for tests of the real HTTP transport.
 """
 
@@ -17,10 +17,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
+from sdohkit.brat import _FIELD_SAFE, AnnFormatError
 from sdohkit.corpus import AnnotatedDocument, Corpus, Document, Event, TextSpan
 from sdohkit.qa import FewShotError, FewShotExample, FewShotSet
-from sdohkit.schema import Schema
-from sdohkit.scoring import Counts, match_triggers, precision_recall_f1, prf, score_corpus
+from sdohkit.schema import Schema, validate_event
+from sdohkit.scoring import Counts, match_triggers, prf, score_corpus
 
 
 def _enumerate_matchings(edges: list[list[int]], gi: int, used: int, size: int, arg_tp: int,
@@ -164,6 +165,15 @@ def bootstrap_reference(gold: Corpus, pred_a: Corpus, pred_b: Corpus,
     return delta, (exceed + 1) / (n_resamples + 1)
 
 
+def precision_recall_f1_reference(tp, fp, fn) -> tuple[float, float, float]:
+    """Precision, recall, F1 of scalar counts, one conditional per zero
+    denominator; the library's branch-free form must equal it bit for bit."""
+    p = tp / (tp + fp) if tp + fp else 0.0
+    r = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * p * r / (p + r) if p + r else 0.0
+    return p, r, f1
+
+
 def bootstrap_deltas_reference(counts: np.ndarray, seed: int, n_resamples: int) -> np.ndarray:
     """The per-child resampling loop over (n_docs, 6) rows [tp, fp, fn] x 2: each
     spawned child builds its own Generator, draws n_docs row indices, and
@@ -172,8 +182,131 @@ def bootstrap_deltas_reference(counts: np.ndarray, seed: int, n_resamples: int) 
     deltas = []
     for child in np.random.SeedSequence(seed).spawn(n_resamples):
         totals = counts[np.random.default_rng(child).integers(0, n_docs, size=n_docs)].sum(axis=0)
-        deltas.append(precision_recall_f1(*totals[:3])[2] - precision_recall_f1(*totals[3:])[2])
+        deltas.append(precision_recall_f1_reference(*totals[:3])[2]
+                      - precision_recall_f1_reference(*totals[3:])[2])
     return np.array(deltas, dtype=np.float64)
+
+
+# --- standoff parsing reference ----------------------------------------------
+
+def parse_ann_reference(
+    ann_text: str, doc_text: str, schema: Schema | None = None
+) -> tuple[list[Event], list[str]]:
+    """``brat.parse_ann`` as it was when it rescanned the E lines for every
+    duplicate-id check and for every attribute on a dropped event.
+
+    Parse .ann content against its document text.
+
+    Returns (events, warnings). Events whose spans are unusable are dropped
+    with a warning; surface-text mismatches (after mapping tabs and line
+    breaks to spaces, as ``write_ann`` does) are repaired to the document
+    substring and warned about; schema violations are warned but kept.
+    """
+    tb: dict[str, tuple[str, int, int, str, int]] = {}  # id -> (label, start, end, text, line)
+    ev_lines: list[tuple[str, str, str, int]] = []  # (eid, label, tref, line)
+    attrs: list[tuple[str, str, str, str, int]] = []  # (aid, name, eref, value, line)
+    warnings: list[str] = []
+    dropped_tb: set[str] = set()
+
+    for lineno, line in enumerate(ann_text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        kind = line[0]
+        if kind in "#N":
+            continue
+        if kind == "R":
+            raise AnnFormatError(f"line {lineno}: relation lines are not part of this scheme")
+        fields = line.split("\t")
+        if kind == "T":
+            if len(fields) != 3:
+                raise AnnFormatError(f"line {lineno}: text-bound line needs 3 tab fields")
+            tid, type_span, text = fields
+            if ";" in type_span:
+                warnings.append(f"line {lineno}: discontinuous span dropped ({tid})")
+                dropped_tb.add(tid)
+                continue
+            parts = type_span.split(" ")
+            if len(parts) != 3:
+                raise AnnFormatError(f"line {lineno}: expected 'Label start end'")
+            label, s, e = parts
+            try:
+                start, end = int(s), int(e)
+            except ValueError:
+                raise AnnFormatError(f"line {lineno}: non-integer offsets") from None
+            if tid in tb:
+                raise AnnFormatError(f"line {lineno}: duplicate id {tid}")
+            tb[tid] = (label, start, end, text, lineno)
+        elif kind == "E":
+            if len(fields) != 2:
+                raise AnnFormatError(f"line {lineno}: event line needs 2 tab fields")
+            eid, binding = fields
+            if " " in binding.strip():
+                raise AnnFormatError(f"line {lineno}: event arguments beyond the trigger are not supported")
+            if ":" not in binding:
+                raise AnnFormatError(f"line {lineno}: event line needs 'Label:Tref'")
+            label, tref = binding.split(":", 1)
+            if any(e[0] == eid for e in ev_lines):
+                raise AnnFormatError(f"line {lineno}: duplicate id {eid}")
+            ev_lines.append((eid, label, tref, lineno))
+        elif kind == "A":
+            if len(fields) != 2:
+                raise AnnFormatError(f"line {lineno}: attribute line needs 2 tab fields")
+            aid, rest = fields
+            parts = rest.split(" ", 2)
+            if len(parts) != 3:
+                raise AnnFormatError(f"line {lineno}: expected 'Name Eref Value'")
+            name, eref, value = parts
+            attrs.append((aid, name, eref, value, lineno))
+        else:
+            raise AnnFormatError(f"line {lineno}: unrecognized annotation kind {kind!r}")
+
+    events: list[Event] = []
+    by_eid: dict[str, Event] = {}
+    seen_keys: set[tuple[str, int, int]] = set()
+    for eid, label, tref, lineno in ev_lines:
+        if tref in dropped_tb:
+            warnings.append(f"line {lineno}: {eid} references dropped span {tref}")
+            continue
+        if tref not in tb:
+            raise AnnFormatError(f"line {lineno}: {eid} references missing {tref}")
+        t_label, start, end, text, t_line = tb[tref]
+        if t_label != label:
+            warnings.append(f"line {lineno}: {eid} label {label!r} differs from {tref} label {t_label!r}")
+        if not (0 <= start < end <= len(doc_text)):
+            warnings.append(f"line {t_line}: span [{start},{end}) out of bounds, {eid} dropped")
+            continue
+        actual = doc_text[start:end]
+        if actual.translate(_FIELD_SAFE) != text:
+            warnings.append(
+                f"line {t_line}: surface text differs from document at [{start},{end}), using document text"
+            )
+        key = (label, start, end)
+        if key in seen_keys:
+            warnings.append(f"line {lineno}: duplicate event ({label}, [{start},{end})), {eid} dropped")
+            continue
+        seen_keys.add(key)
+        ev = Event(label, TextSpan(start, end, actual), {})
+        events.append(ev)
+        by_eid[eid] = ev
+
+    for aid, name, eref, value, lineno in attrs:
+        if eref not in by_eid:
+            if any(e[0] == eref for e in ev_lines):
+                # attribute on an event that was dropped above
+                warnings.append(f"line {lineno}: {aid} attached to dropped event {eref}")
+                continue
+            raise AnnFormatError(f"line {lineno}: {aid} references missing {eref}")
+        ev = by_eid[eref]
+        if name in ev.arguments:
+            warnings.append(f"line {lineno}: duplicate attribute {name} on {eref}, keeping first")
+            continue
+        ev.arguments[name] = value
+
+    if schema is not None:
+        for ev in events:
+            for v in validate_event(schema, ev):
+                warnings.append(f"event at [{ev.trigger.start},{ev.trigger.end}): {v}")
+    return events, warnings
 
 
 # --- span repair reference ---------------------------------------------------

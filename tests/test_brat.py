@@ -1,12 +1,14 @@
 import json
 import re
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from helpers import parse_ann_reference
 from sdohkit.brat import AnnFormatError, export_brat_dir, import_brat_dir, parse_ann, write_ann
 from sdohkit.corpus import (
     AnnotatedDocument,
@@ -19,6 +21,7 @@ from sdohkit.corpus import (
     corpus_to_jsonl,
     document_violations,
 )
+from sdohkit.schema import default_schema
 from sdohkit.synth import generate_synthetic
 
 DOC = "Patient    lives with mom and is doing well."
@@ -269,14 +272,41 @@ _ANN_LINES = st.one_of(
 )
 
 
-@given(st.lists(_ANN_LINES, max_size=8), st.text(min_size=1, max_size=24))
-def test_parse_ann_fuzz(lines, doc_text):
+_SCHEMA = default_schema()
+
+
+def _parse_outcome(parse, ann_text, doc_text, schema):
     try:
-        events, warnings = parse_ann("\n".join(lines), doc_text)
-    except AnnFormatError:
+        return parse(ann_text, doc_text, schema)
+    except AnnFormatError as exc:
+        return str(exc)
+
+
+@given(st.lists(_ANN_LINES, max_size=8), st.text(min_size=1, max_size=24), st.booleans())
+def test_parse_ann_fuzz(lines, doc_text, with_schema):
+    ann_text, schema = "\n".join(lines), _SCHEMA if with_schema else None
+    got = _parse_outcome(parse_ann, ann_text, doc_text, schema)
+    assert got == _parse_outcome(parse_ann_reference, ann_text, doc_text, schema)
+    if isinstance(got, str):
         return
+    events, warnings = got
     assert all(isinstance(w, str) for w in warnings)
     assert document_violations(AnnotatedDocument(Document("d", "p", doc_text), events)) == []
+
+
+def test_parse_ann_is_linear_in_the_event_count():
+    # 20,000 events on one span: every event after the first is a dropped
+    # duplicate that carries an attribute. Rescanning the E lines per line
+    # and per attribute took 8-11 s here.
+    n = 20_000
+    lines = []
+    for i in range(1, n + 1):
+        lines += [f"T{i}\tAlcohol 3 9\tdrinks", f"E{i}\tAlcohol:T{i}", f"A{i}\tStatus E{i} current"]
+    start = time.perf_counter()
+    events, warnings = parse_ann("\n".join(lines), "he drinks wine")
+    elapsed = time.perf_counter() - start
+    assert len(events) == 1 and len(warnings) == 2 * (n - 1)
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
 
 
 _SIDECAR_VALUES = st.one_of(

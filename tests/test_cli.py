@@ -1,18 +1,21 @@
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import loopback_endpoint
 from sdohkit import cli, qa
-from sdohkit.brat import import_brat_dir
+from sdohkit.brat import export_brat_dir, import_brat_dir
 from sdohkit.cli import main
-from sdohkit.corpus import read_corpus_jsonl, write_corpus_jsonl
+from sdohkit.corpus import AnnotatedDocument, Corpus, jsonl_text, read_corpus_jsonl
+from sdohkit.corpus import write_corpus_jsonl
 from sdohkit.schema import default_schema, write_schema
-from sdohkit.synth import generate_synthetic
+from sdohkit.synth import generate_fewshot_train, generate_synthetic
 
 
 @pytest.fixture()
@@ -724,3 +727,106 @@ def test_crlf_inputs_load_like_lf(tmp_path, capsys, gold_path, monkeypatch):
         )[0] == 0
     assert len(guides) == 2 and guides[0] == guides[1]
     assert guides[0]["LivingArrangement.Residence"]
+
+
+# --- any bytes in any input file --------------------------------------------------
+
+def _write_inputs(root: Path) -> None:
+    """One valid file for each kind of input a subcommand reads."""
+    schema = default_schema()
+    gold = generate_synthetic(schema, 3, 7)
+    pred = Corpus([AnnotatedDocument(d.document, d.events[:-1]) for d in gold.docs])
+    train = generate_fewshot_train(schema, 77).docs + generate_synthetic(schema, 2, 77).docs
+    write_corpus_jsonl(gold, root / "gold.jsonl")
+    write_corpus_jsonl(pred, root / "pred.jsonl")
+    write_corpus_jsonl(Corpus(train), root / "train.jsonl")
+    (root / "schema.json").write_text(write_schema(schema), encoding="utf-8")
+    notes = [{"doc_id": d.doc_id, "text": f"HPI: x\nSocial History: {d.document.text}"}
+             for d in gold.docs]
+    (root / "notes.jsonl").write_text(jsonl_text(notes), encoding="utf-8")
+    (root / "rules.txt").write_text("^[A-Za-z ]+:\nsocial\n", encoding="utf-8")
+    (root / "guide.txt").write_text(qa.guide_stub(schema), encoding="utf-8")
+    (root / "script.json").write_text('{"script": {}, "default": "NONE"}', encoding="utf-8")
+    export_brat_dir(gold, root / "brat")
+
+
+def _valid_inputs() -> dict[str, bytes]:
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_inputs(Path(tmp))
+        return {p.relative_to(tmp).as_posix(): p.read_bytes()
+                for p in sorted(Path(tmp).rglob("*")) if p.is_file()}
+
+
+_INPUTS = _valid_inputs()
+# argv with input files relative to the run directory; outputs go under out/
+_COMMANDS = [
+    "score --gold gold.jsonl --pred pred.jsonl --schema schema.json --out out/report",
+    "iaa --ann-a gold.jsonl --ann-b pred.jsonl --schema schema.json --out out/iaa",
+    "significance --gold gold.jsonl --pred-a gold.jsonl --pred-b pred.jsonl --seed 1"
+    " --resamples 20 --out out/sig.json",
+    "sections --notes notes.jsonl --heading-rules rules.txt --social-rules rules.txt"
+    " --emit corpus --out out/sections.jsonl",
+    "sample --corpus gold.jsonl --n 2 --splits 1,0,1 --seed 1 --out out/sample.jsonl",
+    "synthetic --schema schema.json --n 2 --seed 1 --out out/synth.jsonl",
+    "export-finetune --corpus gold.jsonl --schema schema.json --strategy 2sqa --out out/ft.jsonl",
+    "extract --corpus gold.jsonl --schema schema.json --strategy 2sqa-guide3shot --seed 1"
+    " --train train.jsonl --guide-file guide.txt --client oracle --out out/pred.jsonl",
+    "extract --corpus gold.jsonl --schema schema.json --strategy event --seed 1"
+    " --train train.jsonl --client script --mock-script script.json --out out/pred.jsonl",
+    "guide-stub --schema schema.json --out out/guide.txt",
+    "brat-export --corpus gold.jsonl --out-dir out/brat",
+    "brat-import --in-dir brat --schema schema.json --out out/imported.jsonl",
+]
+# (argv, the input file to replace): every file each command reads
+_CASES = [(argv, name) for argv in _COMMANDS for name in _INPUTS
+          if name in argv.split() or "--in-dir brat" in argv and name.startswith("brat/")]
+_TOKEN = st.sampled_from([
+    b"", b'"', b"{", b"}", b"[", b"]", b",", b":", b"\n", b"\r", b"\t", b" ", b".", b"null",
+    b"-1", b"1e999", b"\xff", b"\\ud800", b"(", b"*", b'"x"',
+])
+
+
+def _run_in_copy(argv: str, name: str | None = None, content: bytes = b"") -> tuple[int, str]:
+    """Run one command in a fresh copy of the valid inputs, with input
+    ``name`` (if any) holding ``content``; returns the exit code and stderr."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for other, valid in _INPUTS.items():
+            Path(tmp, other).parent.mkdir(parents=True, exist_ok=True)
+            Path(tmp, other).write_bytes(content if other == name else valid)
+        Path(tmp, "out").mkdir()
+        paths = [str(Path(tmp, a)) if a in _INPUTS or a == "brat" or a.startswith("out/") else a
+                 for a in argv.split()]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(paths)
+    return code, err.getvalue()
+
+
+def test_every_command_accepts_its_valid_inputs():
+    assert {argv for argv, _ in _CASES} == set(_COMMANDS)
+    for argv in _COMMANDS:
+        assert _run_in_copy(argv) == (0, ""), argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_no_input_file_makes_a_command_raise(data):
+    """Each subcommand, with one input file replaced by arbitrary bytes, by a
+    run of JSON-ish tokens, or by a valid file with a few spans spliced, exits
+    0 or 2 (3 only for a bad mock script, a configuration error) and never
+    prints a traceback."""
+    argv, name = data.draw(st.sampled_from(_CASES))
+    content = _INPUTS[name]
+    how = data.draw(st.sampled_from(["bytes", "tokens", "splice"]))
+    if how == "bytes":
+        content = data.draw(st.binary(max_size=64))
+    elif how == "tokens":
+        content = b"".join(data.draw(st.lists(_TOKEN, max_size=8)))
+    else:
+        for _ in range(data.draw(st.integers(1, 3))):
+            i = data.draw(st.integers(0, len(content)))
+            j = data.draw(st.integers(i, min(len(content), i + 12)))
+            content = content[:i] + data.draw(st.binary(max_size=6) | _TOKEN) + content[j:]
+    code, err = _run_in_copy(argv, name, content)
+    assert code in ((0, 2, 3) if name == "script.json" else (0, 2)), (code, err)
+    assert "Traceback" not in err

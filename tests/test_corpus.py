@@ -310,7 +310,7 @@ def test_jsonl_round_trip_keeps_unicode_line_separators(sep):
     assert corpus_from_jsonl(corpus_to_jsonl(corpus)).docs == corpus.docs
 
 
-@pytest.mark.parametrize("rules", [["("], ["ok:", "[unclosed"]])
+@pytest.mark.parametrize("rules", [["("], ["ok:", "[unclosed"], ["[[A-Z]+:"]])
 def test_bad_rule_pattern_is_a_corpus_error(rules):
     with pytest.raises(CorpusError, match="invalid rule pattern"):
         extract_sections(NOTE, rules)

@@ -44,7 +44,8 @@ def test_config_invariants():
     for field, value in [("max_retries", -1), ("max_concurrent", 0), ("temperature", -0.5),
                          ("temperature", nan), ("temperature", inf), ("request_timeout", 0),
                          ("request_timeout", -1), ("request_timeout", nan),
-                         ("request_timeout", inf), ("max_tokens", 0)]:
+                         ("request_timeout", inf), ("max_tokens", 0), ("backoff_base", nan),
+                         ("backoff_base", -1.0), ("backoff_base", inf)]:
         with pytest.raises(ConfigurationError, match=field):
             _config(**{field: value})
 

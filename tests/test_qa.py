@@ -17,13 +17,15 @@ from hypothesis import strategies as st
 from sdohkit import linearizer, qa
 from sdohkit.corpus import AnnotatedDocument, Corpus, Document, Event, TextSpan, corpus_to_jsonl
 from sdohkit.linearizer import parse_events
-from sdohkit.llm import ChatMessage, ClientConfig, Completion, HttpChatClient, TransportError
+from sdohkit.llm import ChatMessage, ClientConfig, Completion, HttpChatClient, ScriptedMockClient
+from sdohkit.llm import TransportError, fingerprint
 from sdohkit.qa import (
     FewShotError,
     FewShotPool,
     FewShotSet,
     GoldOracleClient,
     NonsenseClient,
+    STRATEGIES,
     PromptError,
     RunMetrics,
     build_argument_prompt,
@@ -986,3 +988,49 @@ def test_export_2sqa_pairs(schema, corpus):
     assert "Options:" in arg_pairs["input"] or "Event type:" in arg_pairs["input"]
     nones = [p for p in pairs if p["target"] == "none"]
     assert nones, "optional arguments absent from gold should yield 'none' targets"
+
+
+@pytest.fixture(scope="module")
+def oracle_prompts(schema, corpus, train, guide):
+    """Per strategy, the fingerprints of the prompts an oracle run over the
+    first three documents asks, in the order first asked."""
+    few = Corpus(corpus.docs[:3])
+    oracle, asked, out = GoldOracleClient(few, schema), [], {}
+
+    class Recorder:
+        def complete(self, messages):
+            asked.append(fingerprint(messages))
+            return oracle.complete(messages)
+
+    for strategy in STRATEGIES:
+        asked.clear()
+        run_pipeline(few, schema, Recorder(), strategy, seed=1, train=train, guide=guide)
+        out[strategy] = list(dict.fromkeys(asked))
+    return out
+
+
+_ANSWER = st.text(max_size=24) | st.sampled_from([
+    "", "NONE", "none", "drinks", "current", "past", "a\nb", "1. current",
+    "Alcohol [drinks] Status = current [drinks]", "Alcohol [drinks] and Drug [x]",
+])
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_pipeline_survives_any_script(schema, corpus, train, guide, oracle_prompts, strategy,
+                                      data):
+    """Whatever a script answers, and whether or not it has a default, every
+    document is extracted or listed in failures, and nothing else is raised.
+    Script keys are drawn from the prompts an oracle run asks, so answers
+    reach the parsers, and from arbitrary text, which matches no prompt."""
+    few = Corpus(corpus.docs[:3])
+    keys = data.draw(st.lists(st.sampled_from(oracle_prompts[strategy]) | st.text(max_size=8),
+                              max_size=12))
+    script = {key: data.draw(_ANSWER) for key in keys}
+    client = ScriptedMockClient(script, data.draw(st.none() | _ANSWER))
+    pred, metrics = run_pipeline(few, schema, client, strategy, seed=1, train=train, guide=guide)
+    assert pred.doc_ids() == few.doc_ids()
+    for adoc in pred.docs:
+        assert adoc.doc_id not in metrics.failures or adoc.events == []
+    assert metrics.failures == [d for d in few.doc_ids() if d in metrics.failures]

@@ -1,8 +1,12 @@
+import json
+import time
+
 import pytest
 
 from sdohkit.corpus import Event, TextSpan
 from sdohkit.schema import (
     ArgumentDef,
+    EventTypeDef,
     SchemaError,
     default_schema,
     load_schema,
@@ -89,6 +93,27 @@ def test_argument_keys_from_two_readings_cannot_be_loaded():
     # (A.B, C) and (A, B.C) would both report as "A.B.C"
     with pytest.raises(SchemaError, match="argument name 'B.C' must not contain '.'"):
         load_schema(_two_types("A.B", "C", "A", "B.C"))
+
+
+def test_duplicate_argument_error_names_the_first_declared_repeat():
+    args = tuple(ArgumentDef(n, True, ("x",)) for n in ("A", "B", "B", "A"))
+    with pytest.raises(SchemaError, match="^event type 'T' has duplicate argument 'A'$"):
+        EventTypeDef("T", args)
+
+
+def test_load_schema_is_linear_in_the_argument_count():
+    # 20,000 arguments of one type and 8,000 dotted type names whose owner is
+    # that type; a linear argument lookup per check took 8-12 s here.
+    args = [{"name": f"a{i}", "required": False, "subtypes": ["x"]} for i in range(20_000)]
+    types = [{"name": "T", "arguments": args}]
+    types += [{"name": f"T.b{i}"} for i in range(8_000)]
+    text = json.dumps({"version": "big", "event_types": types})
+    start = time.perf_counter()
+    schema = load_schema(text)
+    elapsed = time.perf_counter() - start
+    assert schema.event_type("T").argument("a19999").name == "a19999"
+    assert schema.event_type("T").argument("b0") is None
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
 
 
 def test_write_schema_round_trip_and_stability():

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import as_pred_corpus, bootstrap_deltas_reference, perturb_events
+from helpers import precision_recall_f1_reference
 from sdohkit import significance
 from sdohkit.corpus import AnnotatedDocument, Corpus
 from sdohkit.scoring import ScoringError, per_document_counts, precision_recall_f1, score_corpus
-from sdohkit.significance import _CHUNK, _draws, _f1, _resample_deltas, bootstrap_test
+from sdohkit.significance import _CHUNK, _draws, _resample_deltas, bootstrap_test
 from sdohkit.synth import generate_synthetic
 
 
@@ -264,7 +265,12 @@ def test_per_resample_deltas_are_the_per_child_loop_bit_for_bit(rows, seed, n_re
 @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 50), st.integers(0, 50)),
                 min_size=1, max_size=30))
 def test_vector_f1_is_precision_recall_f1_bit_for_bit(triples):
-    tp, fp, fn = np.array(triples, dtype=np.int64).T
-    got = _f1(tp, fp, fn)
-    want = np.array([precision_recall_f1(*t)[2] for t in zip(tp, fp, fn)], dtype=np.float64)
-    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    for t in triples:
+        got, want = precision_recall_f1(*t), precision_recall_f1_reference(*t)
+        assert [type(v) for v in got] == [float] * 3
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+    columns = np.array(triples, dtype=np.int64).T
+    got = precision_recall_f1(*columns)
+    want = np.array([precision_recall_f1_reference(*t) for t in triples], dtype=np.float64).T
+    for g, w in zip(got, want):
+        assert g.dtype == np.float64 and g.view(np.uint64).tolist() == w.view(np.uint64).tolist()
