@@ -52,7 +52,6 @@ from .qa import (
 )
 from .schema import default_schema, load_schema
 from .scoring import compute_iaa, render_table, score_corpus
-from .significance import bootstrap_test
 from .synth import generate_fewshot_train, generate_synthetic
 
 
@@ -132,6 +131,9 @@ def cmd_iaa(args) -> int:
 
 
 def cmd_significance(args) -> int:
+    # Only this command loads numpy, which costs every other command ~150 ms at start.
+    from .significance import bootstrap_test
+
     gold = read_corpus_jsonl(args.gold)
     pred_a = read_corpus_jsonl(args.pred_a)
     pred_b = read_corpus_jsonl(args.pred_b)

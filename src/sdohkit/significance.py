@@ -15,8 +15,15 @@ are computed for a chunk of children at once, bit for bit: numpy mixes the
 seed into SeedSequence's pool, and the spawn word, generate_state, PCG64
 seeding and XSL-RR output (O'Neill, 2014; the 128-bit state as two uint64
 arrays) and Lemire's (2019, ACM TOMACS) 32-bit bounded draw run as arrays.
-A child whose draw would take Lemire's rejection branch is redone alone
-through numpy, so every draw is numpy's.
+Every step works in place in buffers allocated once per chunk, and both
+32-bit halves of an output are scaled from one uint32 view of it, each into
+its own contiguous row of indices. A child whose draw would take Lemire's
+rejection branch is redone alone through numpy, so every draw is numpy's.
+
+Each document's six counts are packed into one uint64 word, or a few for
+large counts, with each field wide enough for the sum over a whole resample.
+A draw then gathers and adds one word per resample, and the totals are
+unpacked once per chunk.
 """
 
 from __future__ import annotations
@@ -63,12 +70,17 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
-_MULT_HI, _MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
-_MASK, _U1, _U32, _U58, _U63, _U64 = (np.uint64(v) for v in (_M32, 1, 32, 58, 63, 64))
-_LO0, _LO1 = _MULT_LO & _MASK, _MULT_LO >> _U32
-# Resamples drawn at once. The working set is about thirty (_CHUNK,) uint64 arrays and
-# two (_CHUNK, 6) totals, 0.5 MB; 4,096 was 9% faster but added its 1 MB to peak RSS.
-_CHUNK = 2048
+_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
+# As 0-d uint64 arrays: a numpy scalar argument is converted again on every ufunc call,
+# which cost about 7% of a step.
+_MULT_HI, _MULT_LO, _LO0, _LO1, _MASK, _U1, _U32, _U58, _U63, _U64 = (
+    np.array(v, dtype=np.uint64)
+    for v in (_MULT >> 64, _MULT & 2**64 - 1, _MULT & _M32, _MULT >> 32 & _M32, _M32, 1, 32, 58, 63, 64)
+)
+# Resamples drawn at once. The draws reuse about fifteen (_CHUNK,) uint64 buffers for the
+# whole chunk, 0.5 MB; one call's tracemalloc peak, while a chunk is seeded, is 0.8 MB.
+# A level took about 15% longer at 2,048, and 8,192 would pass 1 MB.
+_CHUNK = 4096
 
 
 def _hashmix(value, hash_const: int, mult: int):
@@ -108,26 +120,44 @@ def _pcg64_states(seed: int, children: np.ndarray):
     inc_lo = (seq_lo << _U1) | _U1
     lo = inc_lo + seed_lo
     hi = inc_hi + seed_hi + (lo < inc_lo)
-    hi, lo = _step(hi, lo, inc_hi, inc_lo)
+    _step(hi, lo, inc_hi, inc_lo, *_scratch(len(lo)))
     return hi, lo, inc_hi, inc_lo
 
 
-def _step(hi, lo, inc_hi, inc_lo):
-    """state * MULT + inc mod 2**128, on (hi, lo) uint64 word arrays."""
-    lo0, lo1 = lo & _MASK, lo >> _U32
-    p00, p01, p10 = lo0 * _LO0, lo0 * _LO1, lo1 * _LO0
-    mid = (p00 >> _U32) + (p01 & _MASK) + (p10 & _MASK)
-    mulhi = lo1 * _LO1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
-    new_lo = lo * _MULT_LO + inc_lo
-    new_hi = mulhi + lo * _MULT_HI + hi * _MULT_LO + inc_hi + (new_lo < inc_lo)
-    return new_hi, new_lo
+def _scratch(n: int):
+    """The four uint64 arrays and the bool array _step works in."""
+    return (*(np.empty(n, dtype=np.uint64) for _ in range(4)), np.empty(n, dtype=bool))
 
 
-def _output(hi, lo):
-    """PCG64's XSL-RR output of a state: (hi ^ lo) rotated right by hi's top 6 bits."""
-    rot = hi >> _U58
-    x = hi ^ lo
-    return (x >> rot) | (x << ((_U64 - rot) & _U63))
+def _step(hi, lo, inc_hi, inc_lo, a0, a1, t, u, carry):
+    """state = state * MULT + inc mod 2**128, in place on the (hi, lo) uint64 word
+    arrays; the rest are scratch arrays of the same length."""
+    # mulhi(lo, _MULT_LO) from three partial sums, none of which passes 2**64:
+    # t = a1*b0 + (a0*b0 >> 32), u = (t & M32) + a0*b1, mulhi = a1*b1 + (t >> 32) + (u >> 32).
+    np.bitwise_and(lo, _MASK, out=a0)
+    np.right_shift(lo, _U32, out=a1)
+    np.multiply(a0, _LO0, out=t)
+    np.right_shift(t, _U32, out=t)
+    np.multiply(a1, _LO0, out=u)
+    np.add(t, u, out=t)
+    np.multiply(a0, _LO1, out=a0)
+    np.bitwise_and(t, _MASK, out=u)
+    np.add(u, a0, out=u)
+    np.multiply(a1, _LO1, out=a1)
+    np.right_shift(t, _U32, out=t)
+    np.add(a1, t, out=a1)
+    np.right_shift(u, _U32, out=u)
+    np.add(a1, u, out=a1)
+    # hi = mulhi + lo * MULT_HI + hi * MULT_LO + inc_hi + carry of lo = lo * MULT_LO + inc_lo.
+    np.multiply(hi, _MULT_LO, out=hi)
+    np.add(hi, a1, out=hi)
+    np.multiply(lo, _MULT_HI, out=a0)
+    np.add(hi, a0, out=hi)
+    np.add(hi, inc_hi, out=hi)
+    np.multiply(lo, _MULT_LO, out=lo)
+    np.add(lo, inc_lo, out=lo)
+    np.less(lo, inc_lo, out=carry)
+    np.add(hi, carry, out=hi, dtype=np.uint64)
 
 
 def _numpy_draws(seed: int, children, high: int, size: int) -> np.ndarray:
@@ -140,46 +170,94 @@ def _numpy_draws(seed: int, children, high: int, size: int) -> np.ndarray:
 
 
 def _draws(seed: int, start: int, stop: int, high: int, size: int):
-    """Yield, for j in range(size), the j-th value of
-    ``default_rng(SeedSequence(seed).spawn(stop)[i]).integers(0, high, size)``
-    for every i in [start, stop), as one uint64 array per j.
+    """Yield the values of ``default_rng(SeedSequence(seed).spawn(stop)[i]).integers(0,
+    high, size)`` for every i in [start, stop), two at a time: for each k in
+    range(0, size, 2), a (2, n_children) int64 array whose rows are values k
+    and k + 1 (one row for the last value of an odd size). The array is a
+    buffer that the next step overwrites.
 
-    All children step together. numpy's draw j of a child is the low (even j)
-    or high (odd j) half of PCG64 output j // 2, scaled to [0, high) by
+    All children step together. numpy's value k of a child is the low (even k)
+    or high (odd k) half of PCG64 output k // 2, scaled to [0, high) by
     Lemire's multiply-shift. A child whose multiply lands in the rejection
     zone, or whose spawn key needs two words, is redone alone through numpy.
     """
     if not 1 <= high <= 2**32:
         raise ValueError("high must be in [1, 2**32]")
     hi, lo, inc_hi, inc_lo = _pcg64_states(seed, np.arange(start, stop, dtype=np.uint64) & _MASK)
-    alone = np.arange(max(2**32 - start, 0), max(stop - start, 0))  # rows of i >= 2**32
+    n = len(lo)
+    alone = np.arange(max(2**32 - start, 0), n)  # rows of i >= 2**32
     exact = _numpy_draws(seed, start + alone, high, size)
-    n, threshold = np.uint64(high), np.uint64(2**32 % high)
-    for j in range(size):
-        if j % 2 == 0:
-            hi, lo = _step(hi, lo, inc_hi, inc_lo)
-            word = _output(hi, lo)
-            m = (word & _MASK) * n
-        else:
-            m = (word >> _U32) * n
+    scratch = _scratch(n)
+    x, rot = np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64)
+    # Little-endian words, so that each word's uint32 view is its low half, then its high half.
+    word = np.empty(n, dtype="<u8")
+    halves = word.view("<u4").reshape(n, 2).T
+    m, low = np.empty((2, n), dtype=np.uint64), np.empty((2, n), dtype=np.uint64)
+    draws = m.view(np.int64)
+    bound, threshold = np.array(high, dtype=np.uint64), 2**32 % high
+    for k in range(0, size, 2):
+        width = min(2, size - k)
+        _step(hi, lo, inc_hi, inc_lo, *scratch)
+        # XSL-RR output: (hi ^ lo) rotated right by hi's top 6 bits. numpy shifts a
+        # uint64 by 64 to 0, so rot == 0 needs no mask on the left shift.
+        np.bitwise_xor(hi, lo, out=x)
+        np.right_shift(hi, _U58, out=rot)
+        np.right_shift(x, rot, out=word)
+        np.subtract(_U64, rot, out=rot)
+        np.left_shift(x, rot, out=x)
+        np.bitwise_or(word, x, out=word)
+        for j in range(width):
+            np.multiply(halves[j], bound, out=m[j], dtype=np.uint64)
         if threshold:
-            rejected = np.flatnonzero((m & _MASK) < threshold)
-            if rejected.size and (rejected := np.setdiff1d(rejected, alone)).size:
-                alone = np.concatenate([alone, rejected])
-                exact = np.concatenate([exact, _numpy_draws(seed, start + rejected, high, size)])
-        draw = m >> _U32
+            np.bitwise_and(m[:width], _MASK, out=low[:width])
+            if low[:width].min() < threshold:
+                rejected = np.flatnonzero((low[:width] < threshold).any(axis=0))
+                if (rejected := np.setdiff1d(rejected, alone)).size:
+                    alone = np.concatenate([alone, rejected])
+                    exact = np.concatenate([exact, _numpy_draws(seed, start + rejected, high, size)])
+        np.right_shift(m, _U32, out=m)
         if alone.size:
-            draw[alone] = exact[:, j]
-        yield draw
+            m[:width, alone] = exact[:, k:k + width].T
+        yield draws[:width]
+
+
+def _pack(counts: np.ndarray):
+    """Pack each row of (n_docs, k) non-negative counts into as few uint64 words as
+    fit. Column c gets bit_length(n_docs * max(c)) bits, so a sum of n_docs rows
+    never carries from one field into the next. Returns the (n_docs, n_words)
+    packed rows and each column's (word, shift, width)."""
+    n_docs = len(counts)
+    fields, word, used = [], 0, 0
+    for top in counts.max(axis=0, initial=0).tolist():
+        width = (n_docs * top).bit_length()
+        if width > 63:
+            raise ValueError("counts too large: a resample total could reach 2**63")
+        if used + width > 64:
+            word, used = word + 1, 0
+        fields.append((word, used, width))
+        used += width
+    packed = np.zeros((n_docs, word + 1), dtype=np.uint64)
+    for c, (w, shift, _) in enumerate(fields):
+        packed[:, w] |= counts[:, c].astype(np.uint64) << np.uint64(shift)
+    return packed, fields
 
 
 def _resample_deltas(counts: np.ndarray, seed: int, start: int, stop: int) -> np.ndarray:
     """F1(A) - F1(B) of resamples [start, stop) of the (n_docs, 6) count rows."""
     n_docs = len(counts)
-    totals = np.zeros((stop - start, counts.shape[1]), dtype=np.int64)
-    for draw in _draws(seed, start, stop, n_docs, n_docs):
-        totals += counts.take(draw, axis=0)
-    return precision_recall_f1(*totals[:, :3].T)[2] - precision_recall_f1(*totals[:, 3:].T)[2]
+    packed, fields = _pack(counts)
+    totals = np.zeros((stop - start, packed.shape[1]), dtype=np.uint64)
+    rows = np.empty_like(totals)
+    for pair in _draws(seed, start, stop, n_docs, n_docs):
+        for draw in pair:
+            # Every draw is in range; "clip" lets take write straight into rows, which
+            # the default "raise" would buffer.
+            np.add(totals, packed.take(draw, axis=0, out=rows, mode="clip"), out=totals)
+    tp_a, fp_a, fn_a, tp_b, fp_b, fn_b = (
+        ((totals[:, w] >> np.uint64(shift)) & np.uint64(2**width - 1)).view(np.int64)
+        for w, shift, width in fields
+    )
+    return precision_recall_f1(tp_a, fp_a, fn_a)[2] - precision_recall_f1(tp_b, fp_b, fn_b)[2]
 
 
 def bootstrap_test(

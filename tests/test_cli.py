@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -68,6 +71,17 @@ def test_score_single_level_flag(tmp_path, capsys, gold_path):
     report = json.loads((tmp_path / "ev.json").read_text())
     assert list(report["levels"]) == ["event"]
     assert "trigger" not in stdout
+
+
+def test_score_runs_without_loading_numpy(tmp_path, gold_path):
+    """Only ``significance`` needs numpy, so no other command pays for importing it."""
+    argv = ["score", "--gold", str(gold_path), "--pred", str(gold_path), "--out", str(tmp_path / "r")]
+    script = f"import sys\nfrom sdohkit.cli import main\ncode = main({argv!r})\nprint(code, 'numpy' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 def test_score_rejects_invalid_corpus(tmp_path, capsys):

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import as_pred_corpus, bootstrap_deltas_reference, perturb_events
@@ -181,7 +181,8 @@ def _numpy_children(seed, start, stop, high, size):
 
 
 def _chunk_draws(seed, start, stop, high, size):
-    return np.stack(list(_draws(seed, start, stop, high, size)), axis=1).astype(np.int64)
+    # Each yielded pair is a buffer the next step overwrites, so it is copied out at once.
+    return np.concatenate([pair.copy() for pair in _draws(seed, start, stop, high, size)]).T
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 31, 123456789, 2**32 - 1, 2**32, 2**40 + 5,
@@ -201,12 +202,23 @@ def test_draws_start_anywhere_and_span_the_chunk_boundary():
                           _numpy_children(9, start, stop, 245, 245))
 
 
+def _child_draws(seed, i, high, size):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))).integers(0, high, size)
+
+
 def test_draws_with_a_two_word_spawn_key_are_numpy_draws():
     start = 2**32 - 2
     got = _chunk_draws(3, start, start + 4, 245, 10)
-    want = [np.random.default_rng(np.random.SeedSequence(3, spawn_key=(i,))).integers(0, 245, 10)
-            for i in range(start, start + 4)]
+    want = [_child_draws(3, i, 245, 10) for i in range(start, start + 4)]
     assert np.array_equal(got, np.array(want))
+    # The kernel over the same children: 10 documents, so 10 draws in [0, 10) each.
+    counts = np.random.default_rng(1).integers(0, 9, (10, 6))
+    deltas = _resample_deltas(counts, 3, start, start + 4)
+    for delta, i in zip(deltas.tolist(), range(start, start + 4)):
+        totals = counts[_child_draws(3, i, 10, 10)].sum(axis=0).tolist()
+        want = (precision_recall_f1_reference(*totals[:3])[2]
+                - precision_recall_f1_reference(*totals[3:])[2])
+        assert delta.hex() == want.hex()
 
 
 @pytest.mark.parametrize("high", [3 * 2**30 + 1, 3 * 2**30 + 12345])
@@ -246,20 +258,62 @@ def test_p_value_over_a_partial_last_chunk_matches_the_per_child_loop(schema):
     assert r.p_value == (np.count_nonzero(deltas > 2 * r.observed_delta) + 1) / (n_resamples + 1)
 
 
-_count_rows = st.lists(
-    st.one_of(st.just([0] * 6), st.lists(st.integers(0, 6), min_size=6, max_size=6)),
-    min_size=1, max_size=12,
-)
+@st.composite
+def _count_matrices(draw):
+    """(n_docs, 6) counts: odd and even n_docs from one to 300, each column's
+    largest count up to 2**20 (so up to three packed words) or zero, and some
+    all-zero rows."""
+    n_docs = draw(st.integers(1, 300))
+    tops = draw(st.lists(st.sampled_from([0, 1, 6, 2**20]) | st.integers(0, 2**20),
+                         min_size=6, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.integers(0, np.array(tops) + 1, (n_docs, 6))
+    counts[rng.random(n_docs) < draw(st.sampled_from([0.0, 0.5]))] = 0
+    return counts
 
 
+# Column widths 15 * 4 + 4 fill one 64-bit word exactly, leaving the zero column
+# at its end; one more bit spills the fifth column into a second word.
+@example(counts=np.array([[2**15 - 1] * 4 + [15, 0]]), seed=0, n_resamples=3)
+@example(counts=np.array([[2**15 - 1] * 4 + [31, 0]]), seed=0, n_resamples=3)
 @settings(max_examples=60, deadline=None)
-@given(rows=_count_rows, seed=st.one_of(st.integers(0, 2**16), st.integers(0, 2**140)),
+@given(counts=_count_matrices(), seed=st.one_of(st.integers(0, 2**16), st.integers(0, 2**140)),
        n_resamples=st.integers(1, 40))
-def test_per_resample_deltas_are_the_per_child_loop_bit_for_bit(rows, seed, n_resamples):
-    counts = np.array(rows, dtype=np.int64)
+def test_per_resample_deltas_are_the_per_child_loop_bit_for_bit(counts, seed, n_resamples):
     got = _resample_deltas(counts, seed, 0, n_resamples)
     want = bootstrap_deltas_reference(counts, seed, n_resamples)
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("n_docs, top", [(2, 2**62), (3, 2**63 // 3 + 1), (2**10, 2**53)])
+def test_resample_deltas_refuse_counts_whose_totals_could_overflow(n_docs, top):
+    counts = np.zeros((n_docs, 6), dtype=np.int64)
+    counts[0, 4] = top
+    with pytest.raises(ValueError, match=r"2\*\*63"):
+        _resample_deltas(counts, 0, 0, 2)
+    counts[0, 4] = (2**63 - 1) // n_docs  # the largest count whose totals fit
+    assert _resample_deltas(counts, 0, 0, 2).tolist() == [0.0, 0.0]
+
+
+def test_paper_shape_p_value_is_the_per_child_loop(schema):
+    """245 documents and 10,000 resamples, as in the paper's test split; the
+    last chunk is partial."""
+    gold = generate_synthetic(schema, 245, 31)
+    rng = random.Random(31)
+    pred_a, pred_b = (
+        as_pred_corpus(gold, {d.doc_id: perturb_events(d, schema, rng) for d in gold.docs})
+        for _ in range(2)
+    )
+    n_resamples = 10_000
+    assert n_resamples % _CHUNK
+    r = bootstrap_test(gold, pred_a, pred_b, "argument", n_resamples=n_resamples, seed=31)
+    _, rows_a = per_document_counts(gold, pred_a, "argument")
+    _, rows_b = per_document_counts(gold, pred_b, "argument")
+    counts = np.array([[a.tp, a.fp, a.fn, b.tp, b.fp, b.fn] for a, b in zip(rows_a, rows_b)])
+    deltas = bootstrap_deltas_reference(counts, 31, n_resamples)
+    want = (np.count_nonzero(deltas > 2 * r.observed_delta) + 1) / (n_resamples + 1)
+    assert r.observed_delta > 0 and 1 / (n_resamples + 1) < want < 1
+    assert r.p_value == want
 
 
 @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 50), st.integers(0, 50)),
