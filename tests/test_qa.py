@@ -206,6 +206,33 @@ def test_argument_prompt_rejects_example_without_trigger(schema, corpus, train):
         )
 
 
+# Per strategy, the sha256 of every prompt an oracle run over ``corpus`` sends
+# (seed 5, ``train``, the stub guide): one JSON line of [role, content] pairs
+# per query, in query order. Recorded before the step builders took plain note
+# text and example lists; the oracle ignores worked examples and guidelines,
+# so no other test sees those bytes.
+PROMPT_DIGESTS = {
+    "event": "5cc13d16c776898193090310b4ef7ec5b5b8f75281fbcfce5e62d573daa71636",
+    "2sqa-base": "9f9e6ad4341f2c4a038c0e3bc6dd73e8d442f6fe55dbe73c69e47d9c334cd11d",
+    "2sqa-guide": "70ee9b9166300b4857a9d5add7a44777c7c6a2dcf9f0c123ace79b21d34c82ce",
+    "2sqa-guide3shot": "35b6b17ee8af822542bf83026cbcdf97438e03ea05f8286e3121398d93f6f13c",
+}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_pipeline_prompt_bytes_are_pinned(schema, corpus, train, guide, strategy):
+    oracle = GoldOracleClient(corpus, schema)
+    h = hashlib.sha256()
+
+    class Recorder:
+        def complete(self, messages):
+            h.update(json.dumps([[m.role, m.content] for m in messages]).encode() + b"\n")
+            return oracle.complete(messages)
+
+    run_pipeline(corpus, schema, Recorder(), strategy, seed=5, train=train, guide=guide)
+    assert h.hexdigest() == PROMPT_DIGESTS[strategy]
+
+
 def test_argument_prompt_quotes_trigger(schema, corpus):
     doc = _doc_with_events(corpus)
     ev = doc.events[0]
