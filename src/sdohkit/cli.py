@@ -396,12 +396,13 @@ def build_parser() -> _Parser:
     p.add_argument("--no-repair", action="store_true", help="disable span repair")
     p.add_argument("--base-url")
     p.add_argument("--model")
-    p.add_argument("--api-key-env", default="SDOHKIT_API_KEY")
-    p.add_argument("--max-tokens", type=int, default=512)
-    p.add_argument("--temperature", type=float, default=0.0)
-    p.add_argument("--timeout", type=float, default=60.0)
-    p.add_argument("--max-retries", type=int, default=3)
-    p.add_argument("--max-concurrent", type=int, default=4)
+    # Each default is the ClientConfig field's, kept there only.
+    p.add_argument("--api-key-env", default=ClientConfig.api_key_env)
+    p.add_argument("--max-tokens", type=int, default=ClientConfig.max_tokens)
+    p.add_argument("--temperature", type=float, default=ClientConfig.temperature)
+    p.add_argument("--timeout", type=float, default=ClientConfig.request_timeout)
+    p.add_argument("--max-retries", type=int, default=ClientConfig.max_retries)
+    p.add_argument("--max-concurrent", type=int, default=ClientConfig.max_concurrent)
     p.add_argument("--out", required=True)
     p.add_argument("--metrics-out")
 

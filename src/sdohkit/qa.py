@@ -30,6 +30,7 @@ import random
 import re
 import threading
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import partial
 
@@ -56,22 +57,6 @@ class FewShotExample:
     text: str
     answer: str
     trigger: TextSpan | None = None  # set for argument-step examples
-
-
-@dataclass
-class FewShotSet:
-    examples: list[FewShotExample]
-    constraint_tag: str
-
-
-def _text_of(doc) -> str:
-    if isinstance(doc, str):
-        return doc
-    if isinstance(doc, AnnotatedDocument):
-        return doc.document.text
-    if isinstance(doc, Document):
-        return doc.text
-    raise TypeError(f"cannot get text from {type(doc).__name__}")
 
 
 def schema_inventory(schema: Schema) -> str:
@@ -116,7 +101,7 @@ def _event_header(schema: Schema) -> str:
     return _EVENT_TASK + "\n\nEvent types and their arguments:\n" + schema_inventory(schema)
 
 
-def build_event_prompt(doc, schema: Schema, example_doc: AnnotatedDocument) -> PromptBundle:
+def build_event_prompt(text: str, schema: Schema, example_doc: AnnotatedDocument) -> PromptBundle:
     """Single-step prompt: full inventory, one worked example, then the note."""
     if not example_doc.events:
         raise PromptError("example document must contain at least one event")
@@ -127,7 +112,7 @@ def build_event_prompt(doc, schema: Schema, example_doc: AnnotatedDocument) -> P
         + "\n\nExample output:\n"
         + serialize_events(example_doc.events, schema)
     )
-    user = "Note:\n" + _text_of(doc)
+    user = "Note:\n" + text
     return PromptBundle([ChatMessage("system", system), ChatMessage("user", user)])
 
 
@@ -149,15 +134,14 @@ def _trigger_user_message(event_type: str, text: str) -> str:
 
 
 def build_trigger_prompt(
-    doc,
+    text: str,
     event_type: str,
     guide_text: str | None = None,
-    fewshot: FewShotSet | None = None,
+    examples: Sequence[FewShotExample] = (),
 ) -> PromptBundle:
     """Step-one prompt asking for the trigger spans of one event type."""
-    examples = fewshot.examples if fewshot is not None else []
     shots = [(_trigger_user_message(event_type, ex.text), ex.answer) for ex in examples]
-    query = _trigger_user_message(event_type, _text_of(doc))
+    query = _trigger_user_message(event_type, text)
     return PromptBundle(_step_messages(_TRIGGER_TASK, event_type, guide_text, shots, query))
 
 
@@ -174,13 +158,13 @@ def _argument_user_message(
 
 
 def build_argument_prompt(
-    doc,
+    text: str,
     event_type: str,
     trigger: TextSpan,
     argument: ArgumentDef,
     schema: Schema,
     guide_text: str | None = None,
-    fewshot: FewShotSet | None = None,
+    examples: Sequence[FewShotExample] = (),
 ) -> PromptBundle:
     """Step-two prompt resolving one argument of one predicted trigger.
 
@@ -193,12 +177,11 @@ def build_argument_prompt(
     options = list(argument.subtypes)
     if not argument.required:
         options.append("none")
-    examples = fewshot.examples if fewshot is not None else []
     if any(ex.trigger is None for ex in examples):
         raise PromptError("argument few-shot examples must carry a trigger")
     ask = partial(_argument_user_message, event_type, argument.name)
     shots = [(ask(ex.trigger, options, ex.text), ex.answer) for ex in examples]
-    query = ask(trigger, options, _text_of(doc))
+    query = ask(trigger, options, text)
     topic = f"{event_type}.{argument.name}"
     return PromptBundle(_step_messages(_ARGUMENT_TASK, topic, guide_text, shots, query), options)
 
@@ -344,7 +327,7 @@ class FewShotPool:
         return classes
 
 
-def sample_fewshot(train: Corpus | FewShotPool, target, kind: str, seed) -> FewShotSet:
+def sample_fewshot(train: Corpus | FewShotPool, target, kind: str, seed) -> list[FewShotExample]:
     """Draw three constraint-satisfying examples from the train corpus.
 
     ``kind="trigger"`` (target: event type): one note with zero, one with
@@ -369,7 +352,7 @@ def sample_fewshot(train: Corpus | FewShotPool, target, kind: str, seed) -> FewS
                 raise FewShotError(f"class {name} empty for event type {event_type}")
             doc, events = rng.choice(bucket)
             examples.append(FewShotExample(doc.document.text, _listing(events)))
-        return FewShotSet(examples, "zero-one-many")
+        return examples
 
     if kind not in ("required-arg", "optional-arg"):
         raise ValueError(f"unknown few-shot kind {kind!r}")
@@ -388,7 +371,7 @@ def sample_fewshot(train: Corpus | FewShotPool, target, kind: str, seed) -> FewS
                 f"class positive has {len(positives)} documents for {event_type}.{arg_name}, need 3"
             )
         chosen = rng.sample(positives, 3)
-        return FewShotSet([pick_example(item, True) for item in chosen], "three-positive")
+        return [pick_example(item, True) for item in chosen]
 
     if not negatives:
         raise FewShotError(f"class negative empty for {event_type}.{arg_name}")
@@ -399,8 +382,7 @@ def sample_fewshot(train: Corpus | FewShotPool, target, kind: str, seed) -> FewS
             f"class positive has {len(pos_pool)} documents for {event_type}.{arg_name}, need 2"
         )
     pos = rng.sample(pos_pool, 2)
-    examples = [pick_example(pos[0], True), pick_example(pos[1], True), pick_example(neg, False)]
-    return FewShotSet(examples, "two-positive-one-negative")
+    return [pick_example(pos[0], True), pick_example(pos[1], True), pick_example(neg, False)]
 
 
 # --- guide files ---------------------------------------------------------------
@@ -614,14 +596,14 @@ class _Plan:
     fewshot: FewShotPool | None  # None when the strategy uses no worked examples
     examples: list[AnnotatedDocument]  # the single-step illustrations
 
-    def _fewshot(self, doc: Document, target, kind: str) -> FewShotSet | None:
+    def _fewshot(self, doc: Document, target, kind: str) -> list[FewShotExample]:
         if self.fewshot is None:
-            return None
+            return []
         return sample_fewshot(self.fewshot, target, kind, f"{self.seed}:{doc.doc_id}")
 
     def event_step(self, doc: Document, client, tally: RunMetrics) -> list[Event]:
         rng = random.Random(f"event-example:{self.seed}:{doc.doc_id}")
-        bundle = build_event_prompt(doc, self.schema, rng.choice(self.examples))
+        bundle = build_event_prompt(doc.text, self.schema, rng.choice(self.examples))
         outcome = parse_events(_ask(client, bundle, tally), doc.text, self.schema, self.repair)
         tally.trigger_valid += len(outcome.events)
         tally.argument_valid += sum(len(e.arguments) for e in outcome.events)
@@ -634,8 +616,8 @@ class _Plan:
     def two_step(self, doc: Document, client, tally: RunMetrics) -> list[Event]:
         events: list[Event] = []
         for et in self.schema.event_types:
-            fewshot = self._fewshot(doc, et.name, "trigger")
-            bundle = build_trigger_prompt(doc, et.name, self.guide.get(et.name), fewshot)
+            examples = self._fewshot(doc, et.name, "trigger")
+            bundle = build_trigger_prompt(doc.text, et.name, self.guide.get(et.name), examples)
             tally.queries_step1 += 1
             text = _ask(client, bundle, tally)
             triggers, records, n_repaired = parse_trigger_response(text, doc.text, self.repair)
@@ -647,10 +629,10 @@ class _Plan:
                 arguments: dict[str, str] = {}
                 for adef in et.arguments:
                     kind = "required-arg" if adef.required else "optional-arg"
-                    fewshot = self._fewshot(doc, (et.name, adef.name), kind)
+                    examples = self._fewshot(doc, (et.name, adef.name), kind)
                     guide_text = self.guide.get(f"{et.name}.{adef.name}")
                     bundle = build_argument_prompt(
-                        doc, et.name, trigger, adef, self.schema, guide_text, fewshot
+                        doc.text, et.name, trigger, adef, self.schema, guide_text, examples
                     )
                     tally.queries_step2 += 1
                     choice = parse_argument_response(_ask(client, bundle, tally), bundle.options)
@@ -785,7 +767,7 @@ def export_finetune_pairs(corpus: Corpus, schema: Schema, strategy: str) -> list
     pairs = []
     for adoc in corpus.docs:
         for et in schema.event_types:
-            bundle = build_trigger_prompt(adoc, et.name)
+            bundle = build_trigger_prompt(adoc.document.text, et.name)
             pairs.append(
                 {"input": _flatten(bundle.messages), "target": _trigger_answer(adoc, et.name)}
             )
@@ -794,7 +776,7 @@ def export_finetune_pairs(corpus: Corpus, schema: Schema, strategy: str) -> list
             if et is None:
                 continue
             for adef in et.arguments:
-                bundle = build_argument_prompt(adoc, et.name, ev.trigger, adef, schema)
+                bundle = build_argument_prompt(adoc.document.text, et.name, ev.trigger, adef, schema)
                 target = ev.arguments.get(adef.name, "none" if not adef.required else None)
                 if target is None:
                     continue

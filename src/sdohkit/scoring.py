@@ -3,9 +3,10 @@
 Two triggers are equivalent when they carry the same event type and their
 spans share at least one character. Matching between gold and predicted
 events is one-to-one and greedy: candidate pairs are processed in order of
-(overlap length desc, gold start asc, pred start asc), which is
-deterministic and agrees with an exhaustive maximum matching on all but
-adversarially overlapping inputs.
+(overlap length desc, gold start asc, pred start asc, gold end asc, pred end
+asc), and then in gold and pred input order. This is deterministic and
+agrees with an exhaustive maximum matching on all but adversarially
+overlapping inputs.
 
 Level definitions, given the trigger matching:
 
@@ -72,34 +73,27 @@ class TriggerMatch:
 
 def match_triggers(gold: list[Event], pred: list[Event]) -> list[TriggerMatch]:
     """One-to-one greedy matching of equivalent triggers within a document."""
+    # (-overlap, gold start, pred start, gold end, pred end, gi, pi): sorts into processing order
     candidates = []
     for gi, g in enumerate(gold):
+        gt = g.trigger
         for pi, p in enumerate(pred):
             if g.event_type != p.event_type:
                 continue
-            ov = g.trigger.overlap_len(p.trigger)
+            pt = p.trigger
+            ov = gt.overlap_len(pt)
             if ov >= 1:
-                candidates.append((ov, gi, pi))
-    candidates.sort(
-        key=lambda c: (
-            -c[0],
-            gold[c[1]].trigger.start,
-            pred[c[2]].trigger.start,
-            gold[c[1]].trigger.end,
-            pred[c[2]].trigger.end,
-            c[1],
-            c[2],
-        )
-    )
+                candidates.append((-ov, gt.start, pt.start, gt.end, pt.end, gi, pi))
+    candidates.sort()
     matched_gold: set[int] = set()
     matched_pred: set[int] = set()
     matches = []
-    for ov, gi, pi in candidates:
+    for neg_ov, _, _, _, _, gi, pi in candidates:
         if gi in matched_gold or pi in matched_pred:
             continue
         matched_gold.add(gi)
         matched_pred.add(pi)
-        matches.append(TriggerMatch(gi, pi, ov))
+        matches.append(TriggerMatch(gi, pi, -neg_ov))
     return matches
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from sdohkit.brat import _FIELD_SAFE, AnnFormatError
 from sdohkit.corpus import AnnotatedDocument, Corpus, Document, Event, TextSpan
-from sdohkit.qa import FewShotError, FewShotExample, FewShotSet
+from sdohkit.qa import FewShotError, FewShotExample
 from sdohkit.schema import Schema, validate_event
 from sdohkit.scoring import Counts, match_triggers, score_corpus
 
@@ -513,7 +513,7 @@ def _trigger_answer(doc: AnnotatedDocument, event_type: str) -> str:
     return "\n".join(e.trigger.text for e in events) if events else "NONE"
 
 
-def sample_fewshot_reference(train: Corpus, target, kind: str, seed) -> FewShotSet:
+def sample_fewshot_reference(train: Corpus, target, kind: str, seed) -> list[FewShotExample]:
     """The per-query scan: re-sorts the corpus and re-filters every doc.
 
     Draws three constraint-satisfying examples from the train corpus.
@@ -549,7 +549,7 @@ def sample_fewshot_reference(train: Corpus, target, kind: str, seed) -> FewShotS
                 raise FewShotError(f"class {name} empty for event type {event_type}")
             doc = rng.choice(buckets[name])
             examples.append(FewShotExample(doc.document.text, _trigger_answer(doc, event_type)))
-        return FewShotSet(examples, "zero-one-many")
+        return examples
 
     if kind not in ("required-arg", "optional-arg"):
         raise ValueError(f"unknown few-shot kind {kind!r}")
@@ -579,7 +579,7 @@ def sample_fewshot_reference(train: Corpus, target, kind: str, seed) -> FewShotS
                 f"class positive has {len(positives)} documents for {event_type}.{arg_name}, need 3"
             )
         chosen = rng.sample(positives, 3)
-        return FewShotSet([pick_example(d, True) for d in chosen], "three-positive")
+        return [pick_example(d, True) for d in chosen]
 
     if not negatives:
         raise FewShotError(f"class negative empty for {event_type}.{arg_name}")
@@ -590,9 +590,8 @@ def sample_fewshot_reference(train: Corpus, target, kind: str, seed) -> FewShotS
             f"class positive has {len(pos_pool)} documents for {event_type}.{arg_name}, need 2"
         )
     pos_docs = rng.sample(pos_pool, 2)
-    examples = [pick_example(pos_docs[0], True), pick_example(pos_docs[1], True),
-                pick_example(neg_doc, False)]
-    return FewShotSet(examples, "two-positive-one-negative")
+    return [pick_example(pos_docs[0], True), pick_example(pos_docs[1], True),
+            pick_example(neg_doc, False)]
 
 
 @contextlib.contextmanager

@@ -454,6 +454,27 @@ def test_extract_refuses_a_missing_api_key_before_reading_input(tmp_path, capsys
     assert "SDOHKIT_API_KEY" in err
 
 
+def test_extract_client_defaults_are_the_client_config_defaults(tmp_path, capsys, monkeypatch):
+    built = []
+
+    def refuse(config):
+        built.append(config)
+        raise cli.ConfigurationError("stop before reading input")
+
+    monkeypatch.setattr(cli, "HttpChatClient", refuse)
+    code, _, _ = _run(
+        capsys,
+        "extract", "--corpus", tmp_path / "missing.jsonl", "--strategy", "2sqa-base",
+        "--seed", 1, "--base-url", "http://localhost:9/v1", "--model", "m",
+        "--out", tmp_path / "p.jsonl",
+    )
+    assert code == 3
+    want = cli.ClientConfig("http://localhost:9/v1", "m")
+    assert built == [want]
+    for name, value in vars(want).items():  # 60 == 60.0, so the types are checked too
+        assert type(getattr(built[0], name)) is type(value)
+
+
 @pytest.mark.parametrize(
     "option, value, field",
     [("--temperature", "nan", "temperature"), ("--timeout", "0", "request_timeout"),

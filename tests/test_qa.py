@@ -22,7 +22,6 @@ from sdohkit.llm import TransportError, fingerprint
 from sdohkit.qa import (
     FewShotError,
     FewShotPool,
-    FewShotSet,
     GoldOracleClient,
     NonsenseClient,
     STRATEGIES,
@@ -71,7 +70,7 @@ def _doc_with_events(c, n=1):
 def test_event_prompt_structure(schema, corpus):
     example = _doc_with_events(corpus)
     target = corpus.docs[0]
-    bundle = build_event_prompt(target, schema, example)
+    bundle = build_event_prompt(target.document.text, schema, example)
     assert [m.role for m in bundle.messages] == ["system", "user"]
     system = bundle.messages[0].content
     for et in schema.event_types:
@@ -82,7 +81,7 @@ def test_event_prompt_structure(schema, corpus):
 
 def test_event_prompt_illustration_parses(schema, corpus):
     example = _doc_with_events(corpus)
-    bundle = build_event_prompt(corpus.docs[0], schema, example)
+    bundle = build_event_prompt(corpus.docs[0].document.text, schema, example)
     system = bundle.messages[0].content
     illustration = system.split("Example output:\n", 1)[1]
     res = parse_events(illustration, example.document.text, schema)
@@ -93,25 +92,26 @@ def test_event_prompt_illustration_parses(schema, corpus):
 def test_event_prompt_requires_events(schema, corpus):
     empty = next(d for d in corpus.docs if not d.events)
     with pytest.raises(PromptError):
-        build_event_prompt(corpus.docs[0], schema, empty)
+        build_event_prompt(corpus.docs[0].document.text, schema, empty)
 
 
 def test_trigger_prompt_base(schema, corpus):
-    bundle = build_trigger_prompt(corpus.docs[0], "Alcohol")
+    bundle = build_trigger_prompt(corpus.docs[0].document.text, "Alcohol")
     assert [m.role for m in bundle.messages] == ["system", "user"]
     assert "Event type: Alcohol" in bundle.messages[1].content
 
 
 def test_trigger_prompt_guide(corpus, guide):
-    bundle = build_trigger_prompt(corpus.docs[0], "Alcohol", guide["Alcohol"])
+    bundle = build_trigger_prompt(corpus.docs[0].document.text, "Alcohol", guide["Alcohol"])
     assert guide["Alcohol"] in bundle.messages[0].content
-    plain = build_trigger_prompt(corpus.docs[0], "Alcohol")
+    plain = build_trigger_prompt(corpus.docs[0].document.text, "Alcohol")
     assert "Guideline" not in plain.messages[0].content
 
 
 def test_trigger_prompt_fewshot_message_count(corpus, train, guide):
     fewshot = sample_fewshot(train, "Alcohol", "trigger", 7)
-    bundle = build_trigger_prompt(corpus.docs[0], "Alcohol", guide["Alcohol"], fewshot)
+    text = corpus.docs[0].document.text
+    bundle = build_trigger_prompt(text, "Alcohol", guide["Alcohol"], fewshot)
     assert len(bundle.messages) == 8
     roles = [m.role for m in bundle.messages]
     assert roles == ["system", "user", "assistant", "user", "assistant", "user", "assistant", "user"]
@@ -119,20 +119,20 @@ def test_trigger_prompt_fewshot_message_count(corpus, train, guide):
 
 def test_trigger_fewshot_answers_parse_as_trigger_lists(train, guide, corpus):
     fewshot = sample_fewshot(train, "LivingArrangement", "trigger", 3)
-    for ex in fewshot.examples:
+    for ex in fewshot:
         spans, bad, _ = parse_trigger_response(ex.answer, ex.text, repair=False)
         assert bad == []
-    assert fewshot.examples[0].answer == "NONE"
+    assert fewshot[0].answer == "NONE"
 
 
 def test_argument_prompt_options(schema, corpus):
-    doc = corpus.docs[0]
+    text = corpus.docs[0].document.text
     la = schema.event_type("LivingArrangement")
-    trigger = TextSpan(0, 7, doc.document.text[0:7])
-    required = build_argument_prompt(doc, "LivingArrangement", trigger, la.argument("Type"), schema)
+    trigger = TextSpan(0, 7, text[0:7])
+    required = build_argument_prompt(text, "LivingArrangement", trigger, la.argument("Type"), schema)
     assert required.options == list(la.argument("Type").subtypes)
     optional = build_argument_prompt(
-        doc, "LivingArrangement", trigger, la.argument("Residence"), schema
+        text, "LivingArrangement", trigger, la.argument("Residence"), schema
     )
     assert optional.options[-1] == "none"
     assert optional.options[:-1] == list(la.argument("Residence").subtypes)
@@ -154,38 +154,37 @@ def test_none_option_iff_optional_over_random_schemas():
             )
             types.append(EventTypeDef(f"Type{t}", args))
         rand_schema = Schema(f"rand-{trial}", tuple(types))
-        doc = Document("d", "p", "some note text for type checks")
+        text = "some note text for type checks"
         for et in rand_schema.event_types:
             for adef in et.arguments:
                 bundle = build_argument_prompt(
-                    doc, et.name, TextSpan(0, 4, "some"), adef, rand_schema
+                    text, et.name, TextSpan(0, 4, "some"), adef, rand_schema
                 )
                 assert ("none" in bundle.options) == (not adef.required)
                 assert bundle.options[: len(adef.subtypes)] == list(adef.subtypes)
 
 
 def test_argument_prompt_requires_membership(schema, corpus):
-    doc = corpus.docs[0]
+    text = corpus.docs[0].document.text
     status = schema.event_type("Alcohol").argument("Status")
     with pytest.raises(PromptError):
-        build_argument_prompt(doc, "LivingArrangement", TextSpan(0, 3, "Pat"), status, schema)
+        build_argument_prompt(text, "LivingArrangement", TextSpan(0, 3, "Pat"), status, schema)
 
 
 def test_step_prompts_render_exactly_the_guide_and_examples_given(schema, corpus, train):
-    doc = corpus.docs[0]
+    text = corpus.docs[0].document.text
     status = schema.event_type("Alcohol").argument("Status")
-    trigger = TextSpan(0, 3, doc.document.text[:3])
+    trigger = TextSpan(0, 3, text[:3])
     trig_shots = sample_fewshot(train, "Alcohol", "trigger", 1)
     arg_shots = sample_fewshot(train, ("Alcohol", "Status"), "required-arg", 1)
     builders = [
-        lambda *a: build_trigger_prompt(doc, "Alcohol", *a),
-        lambda *a: build_argument_prompt(doc, "Alcohol", trigger, status, schema, *a),
+        lambda *a: build_trigger_prompt(text, "Alcohol", *a),
+        lambda *a: build_argument_prompt(text, "Alcohol", trigger, status, schema, *a),
     ]
     for build, shots in zip(builders, (trig_shots, arg_shots)):
         for guide_text in (None, "some guide"):
-            for k in range(len(shots.examples) + 1):
-                fewshot = FewShotSet(shots.examples[:k], "first-k") if k else None
-                messages = build(guide_text, fewshot).messages
+            for k in range(len(shots) + 1):
+                messages = build(guide_text, shots[:k]).messages
                 system = messages[0].content
                 assert ("Guideline for" in system) == (guide_text is not None)
                 assert system.endswith(f":\n{guide_text}") == (guide_text is not None)
@@ -193,16 +192,16 @@ def test_step_prompts_render_exactly_the_guide_and_examples_given(schema, corpus
                     ["system"] + ["user", "assistant"] * k + ["user"]
                 )
                 answers = [m.content for m in messages if m.role == "assistant"]
-                assert answers == [ex.answer for ex in shots.examples[:k]]
+                assert answers == [ex.answer for ex in shots[:k]]
 
 
 def test_argument_prompt_rejects_example_without_trigger(schema, corpus, train):
-    doc = corpus.docs[0]
+    text = corpus.docs[0].document.text
     status = schema.event_type("Alcohol").argument("Status")
-    untriggered = FewShotSet(sample_fewshot(train, "Alcohol", "trigger", 1).examples, "trigger")
+    untriggered = sample_fewshot(train, "Alcohol", "trigger", 1)
     with pytest.raises(PromptError, match="^argument few-shot examples must carry a trigger$"):
         build_argument_prompt(
-            doc, "Alcohol", TextSpan(0, 3, doc.document.text[:3]), status, schema, None, untriggered
+            text, "Alcohol", TextSpan(0, 3, text[:3]), status, schema, None, untriggered
         )
 
 
@@ -237,7 +236,7 @@ def test_argument_prompt_quotes_trigger(schema, corpus):
     doc = _doc_with_events(corpus)
     ev = doc.events[0]
     adef = schema.event_type(ev.event_type).arguments[0]
-    bundle = build_argument_prompt(doc, ev.event_type, ev.trigger, adef, schema)
+    bundle = build_argument_prompt(doc.document.text, ev.event_type, ev.trigger, adef, schema)
     content = bundle.messages[-1].content
     assert f'Trigger: "{ev.trigger.text}"' in content
     assert f"(characters {ev.trigger.start}-{ev.trigger.end})" in content
@@ -321,29 +320,29 @@ def test_parse_argument_response_substring_safe():
 
 def test_sample_fewshot_trigger_constraints(train, schema):
     fs = sample_fewshot(train, "Employment", "trigger", 11)
-    assert fs.constraint_tag == "zero-one-many"
+    assert len(fs) == 3
     by_text = {d.document.text: d for d in train.docs}
     counts = [
         sum(1 for e in by_text[ex.text].events if e.event_type == "Employment")
-        for ex in fs.examples
+        for ex in fs
     ]
     assert counts[0] == 0 and counts[1] == 1 and counts[2] > 1
 
 
 def test_sample_fewshot_required_arg(train, schema):
     fs = sample_fewshot(train, ("Employment", "Status"), "required-arg", 13)
-    assert fs.constraint_tag == "three-positive"
-    assert len({ex.text for ex in fs.examples}) == 3
+    assert len(fs) == 3
+    assert len({ex.text for ex in fs}) == 3
     subtypes = schema.event_type("Employment").argument("Status").subtypes
-    for ex in fs.examples:
+    for ex in fs:
         assert ex.answer in subtypes
         assert ex.trigger is not None
 
 
 def test_sample_fewshot_optional_arg(train):
     fs = sample_fewshot(train, ("LivingArrangement", "Residence"), "optional-arg", 17)
-    assert fs.constraint_tag == "two-positive-one-negative"
-    answers = [ex.answer for ex in fs.examples]
+    assert len(fs) == 3
+    answers = [ex.answer for ex in fs]
     assert answers.count("none") == 1
     assert answers[-1] == "none"
 
