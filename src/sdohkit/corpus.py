@@ -246,6 +246,8 @@ def select_social_history(
     """First section whose heading matches a social-history pattern, if any."""
     if rules is None:
         rules = DEFAULT_SOCIAL_HISTORY_PATTERNS
+    if not rules:
+        raise CorpusError("social-history rule list must be non-empty")
     compiled = _compile_rules(rules)
     for sec in sections:
         heading = sec.heading.rstrip()

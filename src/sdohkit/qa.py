@@ -255,7 +255,7 @@ def parse_argument_response(response: str, options: list[str]) -> str | None:
 # --- few-shot sampling ---------------------------------------------------------
 
 class FewShotError(ValueError):
-    """A required sampling class has no candidates in the train corpus."""
+    """A few-shot target outside the schema, or a class too small for it."""
 
 
 def _events_of_type(doc: AnnotatedDocument, event_type: str) -> list[Event]:
@@ -278,57 +278,36 @@ _Typed = tuple[AnnotatedDocument, tuple[Event, ...]]  # a train doc and its even
 
 
 class FewShotPool:
-    """The sampling classes of one train corpus, indexed once per run.
+    """The sampling classes of one train corpus for every event type and
+    argument of a schema, built once per run and then only read.
 
-    The docs are sorted by doc_id once. Each class list is built on the
-    first query that needs it and then kept: a doc's events per event type,
-    the zero/one/many buckets per event type, and the positive/negative
-    lists per (event type, argument). A list is fully built before it is
-    stored, so threads that fill the same key store equal lists.
+    The docs are sorted by doc_id (stably, so repeated doc_ids keep their
+    input order). ``by_count[event_type]`` holds the docs with zero, one and
+    several events of the type; ``by_argument[(event_type, arg_name)]``
+    holds the docs with an event of the type that has the argument, and
+    those with one that lacks it (a doc can be in both). Each class lists
+    (doc, the doc's events of the type) pairs in doc_id order.
     """
 
-    def __init__(self, train: Corpus):
-        self._docs = sorted(train.docs, key=lambda d: d.doc_id)
-        self._typed: dict[str, list[_Typed]] = {}
-        self._counts: dict[str, tuple[list[_Typed], list[_Typed], list[_Typed]]] = {}
-        self._args: dict[tuple[str, str], tuple[list[_Typed], list[_Typed]]] = {}
-
-    def _of_type(self, event_type: str) -> list[_Typed]:
-        """Every doc, in doc_id order, with its events of the type."""
-        typed = self._typed.get(event_type)
-        if typed is None:
+    def __init__(self, train: Corpus, schema: Schema):
+        docs = sorted(train.docs, key=lambda d: d.doc_id)
+        self.by_count: dict[str, tuple[list[_Typed], list[_Typed], list[_Typed]]] = {}
+        self.by_argument: dict[tuple[str, str], tuple[list[_Typed], list[_Typed]]] = {}
+        for et in schema.event_types:
             # A tuple, so that the many docs without the type share the empty one.
-            typed = [(d, tuple(_events_of_type(d, event_type))) for d in self._docs]
-            self._typed[event_type] = typed
-        return typed
-
-    def by_count(self, event_type: str) -> tuple[list[_Typed], list[_Typed], list[_Typed]]:
-        """The docs with zero, one and several events of the type."""
-        buckets = self._counts.get(event_type)
-        if buckets is None:
+            typed = [(d, tuple(_events_of_type(d, et.name))) for d in docs]
             buckets = ([], [], [])
-            for item in self._of_type(event_type):
+            for item in typed:
                 buckets[min(len(item[1]), 2)].append(item)
-            self._counts[event_type] = buckets
-        return buckets
-
-    def by_argument(self, event_type: str, arg_name: str) -> tuple[list[_Typed], list[_Typed]]:
-        """The docs with an event of the type that has the argument, and
-        those with one that lacks it (a doc can be in both)."""
-        classes = self._args.get((event_type, arg_name))
-        if classes is None:
-            classes = ([], [])
-            for item in self._of_type(event_type):
-                if any(arg_name in e.arguments for e in item[1]):
-                    classes[0].append(item)
-                if any(arg_name not in e.arguments for e in item[1]):
-                    classes[1].append(item)
-            self._args[(event_type, arg_name)] = classes
-        return classes
+            self.by_count[et.name] = buckets
+            for arg in (a.name for a in et.arguments):
+                has = [item for item in typed if any(arg in e.arguments for e in item[1])]
+                lacks = [item for item in typed if any(arg not in e.arguments for e in item[1])]
+                self.by_argument[(et.name, arg)] = (has, lacks)
 
 
-def sample_fewshot(train: Corpus | FewShotPool, target, kind: str, seed) -> list[FewShotExample]:
-    """Draw three constraint-satisfying examples from the train corpus.
+def sample_fewshot(pool: FewShotPool, target, kind: str, seed) -> list[FewShotExample]:
+    """Draw three constraint-satisfying examples from a pool's classes.
 
     ``kind="trigger"`` (target: event type): one note with zero, one with
     exactly one, and one with more than one trigger of the type, in that
@@ -337,27 +316,28 @@ def sample_fewshot(train: Corpus | FewShotPool, target, kind: str, seed) -> list
     such positives plus one note whose event of the type lacks the argument,
     answered "none". Selection is uniform within each class per seed: the
     draws come from ``random.Random(f"fewshot:{kind}:{target}:{seed}")`` over
-    classes in doc_id order. A plain corpus is indexed for this call only;
-    a run passes one ``FewShotPool`` to every query.
+    classes in doc_id order. A target outside the pool's schema, or a class
+    with too few notes, raises ``FewShotError``.
     """
-    pool = train if isinstance(train, FewShotPool) else FewShotPool(train)
     rng = random.Random(f"fewshot:{kind}:{target}:{seed}")
+    if kind not in ("trigger", "required-arg", "optional-arg"):
+        raise ValueError(f"unknown few-shot kind {kind!r}")
+    classes = (pool.by_count if kind == "trigger" else pool.by_argument).get(target)
+    if classes is None:
+        raise FewShotError(f"few-shot target {target!r} is not in the pool's schema")
 
     if kind == "trigger":
-        event_type = target
         examples = []
         names = ("zero-triggers", "one-trigger", "many-triggers")
-        for name, bucket in zip(names, pool.by_count(event_type)):
+        for name, bucket in zip(names, classes):
             if not bucket:
-                raise FewShotError(f"class {name} empty for event type {event_type}")
+                raise FewShotError(f"class {name} empty for event type {target}")
             doc, events = rng.choice(bucket)
             examples.append(FewShotExample(doc.document.text, _listing(events)))
         return examples
 
-    if kind not in ("required-arg", "optional-arg"):
-        raise ValueError(f"unknown few-shot kind {kind!r}")
     event_type, arg_name = target
-    positives, negatives = pool.by_argument(event_type, arg_name)
+    positives, negatives = classes
 
     def pick_example(item: _Typed, want_argument: bool) -> FewShotExample:
         doc, events = item
@@ -391,25 +371,22 @@ _GUIDE_HEADER_RE = re.compile(r"^\[(\S+)\]\s*$")
 
 
 def parse_guide_file(text: str) -> dict[str, str]:
-    """Parse a sectioned guide file into {"Type": text, "Type.Arg": text}."""
-    blocks: dict[str, str] = {}
-    current: str | None = None
-    lines: list[str] = []
+    """Parse a sectioned guide file into {"Type": text, "Type.Arg": text}.
 
-    def flush():
-        if current is not None:
-            blocks[current] = "\n".join(lines).strip()
-
-    for line in text.splitlines():
+    Text before the first header belongs to no section. A header that
+    repeats raises ``PromptError`` naming it and its line.
+    """
+    blocks: dict[str, list[str]] = {}
+    lines: list[str] | None = None
+    for lineno, line in enumerate(text.splitlines(), 1):
         m = _GUIDE_HEADER_RE.match(line.strip())
+        if m and m.group(1) in blocks:
+            raise PromptError(f"guide section [{m.group(1)}] repeats at line {lineno}")
         if m:
-            flush()
-            current = m.group(1)
-            lines = []
-        elif current is not None:
+            lines = blocks[m.group(1)] = []
+        elif lines is not None:
             lines.append(line)
-    flush()
-    return blocks
+    return {key: "\n".join(body).strip() for key, body in blocks.items()}
 
 
 def guide_stub(schema: Schema) -> str:
@@ -717,7 +694,7 @@ def run_pipeline(
         examples = sorted((d for d in train.docs if d.events), key=lambda d: d.doc_id)
         if not examples:
             raise PromptError("train corpus has no documents with events")
-    fewshot_pool = FewShotPool(train) if strategy == "2sqa-guide3shot" else None
+    fewshot_pool = FewShotPool(train, schema) if strategy == "2sqa-guide3shot" else None
     plan = _Plan(schema, seed, repair, guide, fewshot_pool, examples)
     step = plan.event_step if strategy == "event" else plan.two_step
 

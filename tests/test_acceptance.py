@@ -24,7 +24,7 @@ from sdohkit.corpus import (
 )
 from sdohkit.brat import export_brat_dir, import_brat_dir, parse_ann, write_ann
 from sdohkit.linearizer import parse_events, repair_span, serialize_events
-from sdohkit.qa import sample_fewshot
+from sdohkit.qa import FewShotPool, sample_fewshot
 from sdohkit.schema import validate_event
 from sdohkit.scoring import (
     Counts,
@@ -276,6 +276,7 @@ def test_criterion_7_closed_loop_cli(tmp_path, schema, capsys):
 
 def test_criterion_8_fewshot_constraints(schema):
     train = generate_fewshot_train(schema, 9060)
+    pool = FewShotPool(train, schema)
     by_text = {d.document.text: d for d in train.docs}
 
     def n_of(text, event_type):
@@ -290,20 +291,20 @@ def test_criterion_8_fewshot_constraints(schema):
     checked = 0
     for seed in range(100):
         for et in schema.event_types:
-            fs = sample_fewshot(train, et.name, "trigger", seed)
+            fs = sample_fewshot(pool, et.name, "trigger", seed)
             counts = [n_of(ex.text, et.name) for ex in fs]
             assert counts[0] == 0 and counts[1] == 1 and counts[2] > 1
             checked += 1
             for adef in et.arguments:
                 if adef.required:
-                    fs = sample_fewshot(train, (et.name, adef.name), "required-arg", seed)
+                    fs = sample_fewshot(pool, (et.name, adef.name), "required-arg", seed)
                     assert len(fs) == 3
                     assert len({ex.text for ex in fs}) == 3
                     for ex in fs:
                         assert has_arg(ex.text, et.name, adef.name, True)
                         assert ex.answer in adef.subtypes
                 else:
-                    fs = sample_fewshot(train, (et.name, adef.name), "optional-arg", seed)
+                    fs = sample_fewshot(pool, (et.name, adef.name), "optional-arg", seed)
                     answers = [ex.answer for ex in fs]
                     assert answers.count("none") == 1
                     for ex in fs:

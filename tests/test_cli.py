@@ -707,6 +707,35 @@ def test_sections_rejects_bad_rule_regex(tmp_path, capsys, flag):
     assert "invalid rule pattern '(unclosed'" in err
 
 
+def test_extract_rejects_a_guide_file_that_repeats_a_header(tmp_path, capsys, gold_path):
+    guide = tmp_path / "guide.txt"
+    text = qa.guide_stub(default_schema()) + "\n[Alcohol]\nagain\n"
+    guide.write_text(text)
+    out = tmp_path / "p.jsonl"
+    code, _, err = _run(
+        capsys, "extract", "--corpus", gold_path, "--strategy", "2sqa-guide", "--seed", 1,
+        "--client", "oracle", "--guide-file", guide, "--out", out,
+    )
+    assert code == 2
+    assert f"guide section [Alcohol] repeats at line {len(text.splitlines()) - 1}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--heading-rules", "--social-rules"])
+def test_sections_rejects_a_blank_rule_file(tmp_path, capsys, flag):
+    notes = tmp_path / "notes.jsonl"
+    notes.write_text(json.dumps({"doc_id": "n1", "text": "Social History:\nlives alone"}))
+    rules = tmp_path / "rules.txt"
+    rules.write_text("\n  \n")
+    out = tmp_path / "o.jsonl"
+    code, _, err = _run(capsys, "sections", "--notes", notes, flag, rules, "--emit", "corpus",
+                        "--out", out)
+    assert code == 2
+    kind = "heading" if flag == "--heading-rules" else "social-history"
+    assert f"{kind} rule list must be non-empty" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "script", [[1, 2], {"default": 5}, {"script": {"fp": 3}}, {"script": {}, "default": 5}]
 )

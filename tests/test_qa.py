@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import http.client
@@ -57,6 +58,11 @@ def train(schema):
 
 
 @pytest.fixture(scope="module")
+def pool(train, schema):
+    return FewShotPool(train, schema)
+
+
+@pytest.fixture(scope="module")
 def guide(schema):
     return parse_guide_file(guide_stub(schema))
 
@@ -108,8 +114,8 @@ def test_trigger_prompt_guide(corpus, guide):
     assert "Guideline" not in plain.messages[0].content
 
 
-def test_trigger_prompt_fewshot_message_count(corpus, train, guide):
-    fewshot = sample_fewshot(train, "Alcohol", "trigger", 7)
+def test_trigger_prompt_fewshot_message_count(corpus, pool, guide):
+    fewshot = sample_fewshot(pool, "Alcohol", "trigger", 7)
     text = corpus.docs[0].document.text
     bundle = build_trigger_prompt(text, "Alcohol", guide["Alcohol"], fewshot)
     assert len(bundle.messages) == 8
@@ -117,8 +123,8 @@ def test_trigger_prompt_fewshot_message_count(corpus, train, guide):
     assert roles == ["system", "user", "assistant", "user", "assistant", "user", "assistant", "user"]
 
 
-def test_trigger_fewshot_answers_parse_as_trigger_lists(train, guide, corpus):
-    fewshot = sample_fewshot(train, "LivingArrangement", "trigger", 3)
+def test_trigger_fewshot_answers_parse_as_trigger_lists(pool, guide, corpus):
+    fewshot = sample_fewshot(pool, "LivingArrangement", "trigger", 3)
     for ex in fewshot:
         spans, bad, _ = parse_trigger_response(ex.answer, ex.text, repair=False)
         assert bad == []
@@ -171,12 +177,12 @@ def test_argument_prompt_requires_membership(schema, corpus):
         build_argument_prompt(text, "LivingArrangement", TextSpan(0, 3, "Pat"), status, schema)
 
 
-def test_step_prompts_render_exactly_the_guide_and_examples_given(schema, corpus, train):
+def test_step_prompts_render_exactly_the_guide_and_examples_given(schema, corpus, pool):
     text = corpus.docs[0].document.text
     status = schema.event_type("Alcohol").argument("Status")
     trigger = TextSpan(0, 3, text[:3])
-    trig_shots = sample_fewshot(train, "Alcohol", "trigger", 1)
-    arg_shots = sample_fewshot(train, ("Alcohol", "Status"), "required-arg", 1)
+    trig_shots = sample_fewshot(pool, "Alcohol", "trigger", 1)
+    arg_shots = sample_fewshot(pool, ("Alcohol", "Status"), "required-arg", 1)
     builders = [
         lambda *a: build_trigger_prompt(text, "Alcohol", *a),
         lambda *a: build_argument_prompt(text, "Alcohol", trigger, status, schema, *a),
@@ -195,10 +201,10 @@ def test_step_prompts_render_exactly_the_guide_and_examples_given(schema, corpus
                 assert answers == [ex.answer for ex in shots[:k]]
 
 
-def test_argument_prompt_rejects_example_without_trigger(schema, corpus, train):
+def test_argument_prompt_rejects_example_without_trigger(schema, corpus, pool):
     text = corpus.docs[0].document.text
     status = schema.event_type("Alcohol").argument("Status")
-    untriggered = sample_fewshot(train, "Alcohol", "trigger", 1)
+    untriggered = sample_fewshot(pool, "Alcohol", "trigger", 1)
     with pytest.raises(PromptError, match="^argument few-shot examples must carry a trigger$"):
         build_argument_prompt(
             text, "Alcohol", TextSpan(0, 3, text[:3]), status, schema, None, untriggered
@@ -318,8 +324,8 @@ def test_parse_argument_response_substring_safe():
 
 # --- few-shot sampling --------------------------------------------------------------
 
-def test_sample_fewshot_trigger_constraints(train, schema):
-    fs = sample_fewshot(train, "Employment", "trigger", 11)
+def test_sample_fewshot_trigger_constraints(train, pool):
+    fs = sample_fewshot(pool, "Employment", "trigger", 11)
     assert len(fs) == 3
     by_text = {d.document.text: d for d in train.docs}
     counts = [
@@ -329,8 +335,8 @@ def test_sample_fewshot_trigger_constraints(train, schema):
     assert counts[0] == 0 and counts[1] == 1 and counts[2] > 1
 
 
-def test_sample_fewshot_required_arg(train, schema):
-    fs = sample_fewshot(train, ("Employment", "Status"), "required-arg", 13)
+def test_sample_fewshot_required_arg(pool, schema):
+    fs = sample_fewshot(pool, ("Employment", "Status"), "required-arg", 13)
     assert len(fs) == 3
     assert len({ex.text for ex in fs}) == 3
     subtypes = schema.event_type("Employment").argument("Status").subtypes
@@ -339,24 +345,24 @@ def test_sample_fewshot_required_arg(train, schema):
         assert ex.trigger is not None
 
 
-def test_sample_fewshot_optional_arg(train):
-    fs = sample_fewshot(train, ("LivingArrangement", "Residence"), "optional-arg", 17)
+def test_sample_fewshot_optional_arg(pool):
+    fs = sample_fewshot(pool, ("LivingArrangement", "Residence"), "optional-arg", 17)
     assert len(fs) == 3
     answers = [ex.answer for ex in fs]
     assert answers.count("none") == 1
     assert answers[-1] == "none"
 
 
-def test_sample_fewshot_determinism(train):
-    a = sample_fewshot(train, "Drug", "trigger", 19)
-    b = sample_fewshot(train, "Drug", "trigger", 19)
+def test_sample_fewshot_determinism(pool):
+    a = sample_fewshot(pool, "Drug", "trigger", 19)
+    b = sample_fewshot(pool, "Drug", "trigger", 19)
     assert a == b
 
 
 def test_sample_fewshot_empty_class(schema):
     thin = generate_synthetic(schema, 0, 1)
     with pytest.raises(FewShotError, match="zero-triggers"):
-        sample_fewshot(thin, "Alcohol", "trigger", 1)
+        sample_fewshot(FewShotPool(thin, schema), "Alcohol", "trigger", 1)
 
 
 def test_sample_fewshot_missing_many_class(schema):
@@ -364,18 +370,47 @@ def test_sample_fewshot_missing_many_class(schema):
     # keep only docs with at most one Tobacco event
     thin = Corpus([d for d in docs if sum(e.event_type == "Tobacco" for e in d.events) <= 1])
     with pytest.raises(FewShotError, match="many-triggers"):
-        sample_fewshot(thin, "Tobacco", "trigger", 1)
+        sample_fewshot(FewShotPool(thin, schema), "Tobacco", "trigger", 1)
 
 
-def _fewshot_outcome(sample, train, target, kind, seed):
+def test_sample_fewshot_rejects_a_target_outside_the_schema(pool):
+    with pytest.raises(FewShotError, match="^few-shot target 'Food' is not in the pool's schema$"):
+        sample_fewshot(pool, "Food", "trigger", 1)
+    for kind in ("required-arg", "optional-arg"):
+        with pytest.raises(FewShotError, match=r"^few-shot target \('Alcohol', 'Food'\) is not"):
+            sample_fewshot(pool, ("Alcohol", "Food"), kind, 1)
+    with pytest.raises(FewShotError, match="target 'Status' is not"):  # an argument, not a type
+        sample_fewshot(pool, "Status", "trigger", 1)
+
+
+def test_fewshot_pool_is_not_changed_by_sampling(train, schema):
+    pool = FewShotPool(train, schema)
+    snapshot = copy.deepcopy((pool.by_count, pool.by_argument))
+    assert set(pool.by_count) == {et.name for et in schema.event_types}
+    assert set(pool.by_argument) == {(et.name, a.name) for et in schema.event_types
+                                     for a in et.arguments}
+    for seed in range(3):
+        for et in schema.event_types:
+            sample_fewshot(pool, et.name, "trigger", seed)
+            for adef in et.arguments:
+                for kind in ("required-arg", "optional-arg"):
+                    _fewshot_outcome(sample_fewshot, pool, (et.name, adef.name), kind, seed)
+    assert (pool.by_count, pool.by_argument) == snapshot
+
+
+def _fewshot_outcome(sample, source, target, kind, seed):
     try:
-        return sample(train, target, kind, seed)
+        return sample(source, target, kind, seed)
     except FewShotError as exc:
         return f"FewShotError: {exc}"
 
 
 # Small corpora over three event types and three argument names: every class
 # is sometimes empty, sometimes a single doc, and doc_ids can repeat.
+_fewshot_schema = Schema("v", tuple(
+    EventTypeDef(t, tuple(ArgumentDef(a, a == "x", ("p", "q")) for a in ("x", "y", "z")))
+    for t in ("A", "B", "C")
+))
 _fewshot_docs = st.lists(
     st.tuples(
         st.sampled_from(["d1", "d2", "d3", "d4", "d5", "d6"]),
@@ -409,11 +444,10 @@ def test_sample_fewshot_matches_reference(raw_docs, queries):
         events = [Event(t, TextSpan(s, s + n, f"{t}{s}-{s + n}"), args) for t, s, n, args in raw_events]
         docs.append(AnnotatedDocument(Document(doc_id, "p", f"note {i}"), events))
     train = Corpus(docs)
-    pool = FewShotPool(train)  # one pool serves every query, as in a run
+    pool = FewShotPool(train, _fewshot_schema)  # one pool serves every query, as in a run
     for (target, kind), seed in queries:
         want = _fewshot_outcome(sample_fewshot_reference, train, target, kind, seed)
         assert _fewshot_outcome(sample_fewshot, pool, target, kind, seed) == want
-        assert _fewshot_outcome(sample_fewshot, train, target, kind, seed) == want
 
 
 # --- guide files -----------------------------------------------------------------------
@@ -443,8 +477,15 @@ def test_guide_stub_covers_schema_names_with_punctuation(type_names, arg_name):
 
 
 @given(st.text())
+@example("[A]\nx\n [A] \n")
 def test_parse_guide_file_fuzz(text):
-    blocks = parse_guide_file(text)
+    try:
+        blocks = parse_guide_file(text)
+    except PromptError:  # only for text that repeats a header line
+        headers = [m.group(1) for line in text.splitlines()
+                   if (m := re.fullmatch(r"\[(\S+)\]\s*", line.strip()))]
+        assert len(set(headers)) < len(headers)
+        return
     for key, body in blocks.items():
         assert f"[{key}]" in text
         assert body == body.strip()
@@ -454,6 +495,12 @@ def test_parse_guide_file_blocks():
     guide = parse_guide_file("[A]\nfirst block\nmore\n\n[A.X]\nsecond\n")
     assert guide["A"] == "first block\nmore"
     assert guide["A.X"] == "second"
+
+
+def test_parse_guide_file_rejects_a_repeated_header():
+    text = "[Alcohol]\nfirst text\n[Drug]\nok\n[Alcohol]\nsecond\n"
+    with pytest.raises(PromptError, match=r"^guide section \[Alcohol\] repeats at line 5$"):
+        parse_guide_file(text)
 
 
 def test_check_guide_coverage_missing(schema):
@@ -729,44 +776,6 @@ def test_pipeline_requires_train_when_needed(schema, corpus, guide):
         run_pipeline(corpus, schema, oracle, "2sqa-guide3shot", seed=1, guide=guide)
 
 
-class _Rendezvous(list):
-    """Events whose iteration waits until two threads iterate them at once."""
-
-    def __init__(self, items, barrier):
-        super().__init__(items)
-        self.barrier = barrier
-
-    def __iter__(self):
-        self.barrier.wait(timeout=10)
-        return super().__iter__()
-
-
-def test_fewshot_pool_threads_filling_one_key_keep_equal_classes():
-    def doc(i, n):
-        events = [Event("A", TextSpan(j, j + 1, f"a{j}"), {"x": "p"}) for j in range(n)]
-        return AnnotatedDocument(Document(f"d{i}", "p", f"note {i}"), events)
-
-    docs = [doc(i, n) for i, n in enumerate([0, 1, 2, 0, 3, 1])]
-    barrier = threading.Barrier(2)
-    docs[0].events = _Rendezvous(docs[0].events, barrier)
-    pool = FewShotPool(Corpus(docs))
-    results = [None, None]
-
-    def query(slot):
-        results[slot] = (sample_fewshot(pool, "A", "trigger", 3), pool.by_count("A"))
-
-    threads = [threading.Thread(target=query, args=(slot,)) for slot in (0, 1)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not barrier.broken  # both threads built the class before either stored it
-    docs[0].events = docs[0].events[:]  # a plain list again, for the reference
-    want = sample_fewshot_reference(Corpus(docs[1:] + docs[:1]), "A", "trigger", 3)
-    assert results[0][0] == results[1][0] == want
-    assert results[0][1] == results[1][1] == pool.by_count("A")
-
-
 class _CountingOracle:
     def __init__(self, oracle):
         self.oracle = oracle
@@ -867,7 +876,7 @@ def test_pipeline_outputs_do_not_depend_on_the_in_flight_budget(
     strategy = {"oracle": "2sqa-guide3shot", "nonsense": "2sqa-base", "http": "2sqa-guide"}
     runs = {}
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # switch threads often, so a lost update in a shared cache shows
+    sys.setswitchinterval(1e-5)  # switch threads often, so a lost update in shared state shows
     try:
         for budget in (1, 2, 8):
             runs[budget] = _run_bytes(
