@@ -1,9 +1,11 @@
 """Command-line entry point.
 
-Every command that writes outputs also writes a run manifest
-(<first output>.manifest.json, or manifest.json inside an output directory)
-recording the command, a hash of its configuration, seeds, input and output
-paths, the tool version, and a timestamp, so any artifact can be reproduced.
+Each ``cmd_*`` function returns the files it read and the files it wrote;
+``main`` alone then writes the run manifest (<first output>.manifest.json, or
+manifest.json inside an output directory), after every output and only when
+the command succeeded. It records the command, a hash of its configuration,
+seeds, input and output paths, the tool version, and a timestamp, so any
+artifact can be reproduced.
 
 Exit codes: 0 success, 1 usage, 2 data validation or an unusable path, 3
 transport or client configuration. Document text never reaches stdout or
@@ -66,11 +68,11 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _write_manifest(command: str, args: argparse.Namespace, inputs: list, outputs: list) -> None:
+def _write_manifest(args: argparse.Namespace, inputs: list, outputs: list) -> None:
     cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     seeds = {k: v for k, v in cfg.items() if "seed" in k and v is not None}
     manifest = {
-        "command": command,
+        "command": args.command,
         "tool_version": __version__,
         "timestamp": _utc_now(),
         "config_hash": hashlib.sha256(
@@ -95,7 +97,7 @@ def _write_json(obj, path) -> None:
 
 # --- commands -----------------------------------------------------------------
 
-def cmd_score(args) -> int:
+def cmd_score(args) -> tuple[list, list]:
     schema = _load_schema(args.schema)
     gold = read_corpus_jsonl(args.gold)
     pred = read_corpus_jsonl(args.pred)
@@ -108,11 +110,10 @@ def cmd_score(args) -> int:
     _write_json(obj, f"{args.out}.json")
     write_text(f"{args.out}.txt", table)
     print(table, end="")
-    _write_manifest("score", args, [args.gold, args.pred, args.schema], [f"{args.out}.json", f"{args.out}.txt"])
-    return 0
+    return [args.gold, args.pred, args.schema], [f"{args.out}.json", f"{args.out}.txt"]
 
 
-def cmd_iaa(args) -> int:
+def cmd_iaa(args) -> tuple[list, list]:
     schema = _load_schema(args.schema)
     ann_a = read_corpus_jsonl(args.ann_a)
     ann_b = read_corpus_jsonl(args.ann_b)
@@ -126,11 +127,10 @@ def cmd_iaa(args) -> int:
     }
     _write_json(obj, f"{args.out}.json")
     print(iaa.summary_line())
-    _write_manifest("iaa", args, [args.ann_a, args.ann_b, args.schema], [f"{args.out}.json"])
-    return 0
+    return [args.ann_a, args.ann_b, args.schema], [f"{args.out}.json"]
 
 
-def cmd_significance(args) -> int:
+def cmd_significance(args) -> tuple[list, list]:
     # Only this command loads numpy, which costs every other command ~150 ms at start.
     from .significance import bootstrap_test
 
@@ -144,8 +144,7 @@ def cmd_significance(args) -> int:
     _write_json(result.to_obj(), args.out)
     print(f"significant at 0.05: {'yes' if result.significant else 'no'}")
     print(f"p-value: {result.p_value:.6g}  delta: {result.observed_delta:+.4f}")
-    _write_manifest("significance", args, [args.gold, args.pred_a, args.pred_b], [args.out])
-    return 0
+    return [args.gold, args.pred_a, args.pred_b], [args.out]
 
 
 def _read_rules(path: str | None) -> list[str] | None:
@@ -154,7 +153,7 @@ def _read_rules(path: str | None) -> list[str] | None:
     return [ln for ln in read_text(path).splitlines() if ln.strip()]
 
 
-def cmd_sections(args) -> int:
+def cmd_sections(args) -> tuple[list, list]:
     heading_rules, social_rules = _read_rules(args.heading_rules), _read_rules(args.social_rules)
 
     notes = list(jsonl_documents(read_text(args.notes), default_patient=True, name=args.notes))
@@ -183,11 +182,10 @@ def cmd_sections(args) -> int:
                 print(f"{doc.doc_id}: {social.heading}")
     write_text(args.out, jsonl_text(out_objs))
     print(f"processed {len(notes)} notes, {n_match} with a social-history section")
-    _write_manifest("sections", args, [args.notes, args.heading_rules, args.social_rules], [args.out])
-    return 0
+    return [args.notes, args.heading_rules, args.social_rules], [args.out]
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> tuple[list, list]:
     corpus = read_corpus_jsonl(args.corpus)
     if args.dedup_per_patient:
         corpus = dedup_per_patient(corpus, args.seed)
@@ -203,11 +201,10 @@ def cmd_sample(args) -> int:
         corpus = split_corpus(corpus, sizes, args.seed)
     write_corpus_jsonl(corpus, args.out)
     print(f"wrote {len(corpus.docs)} documents")
-    _write_manifest("sample", args, [args.corpus], [args.out])
-    return 0
+    return [args.corpus], [args.out]
 
 
-def cmd_synthetic(args) -> int:
+def cmd_synthetic(args) -> tuple[list, list]:
     schema = _load_schema(args.schema)
     if args.fewshot_coverage:
         base = generate_fewshot_train(schema, args.seed)
@@ -221,18 +218,16 @@ def cmd_synthetic(args) -> int:
         corpus = generate_synthetic(schema, args.n, args.seed)
     write_corpus_jsonl(corpus, args.out)
     print(f"wrote {len(corpus.docs)} synthetic documents")
-    _write_manifest("synthetic", args, [args.schema], [args.out])
-    return 0
+    return [args.schema], [args.out]
 
 
-def cmd_export_finetune(args) -> int:
+def cmd_export_finetune(args) -> tuple[list, list]:
     schema = _load_schema(args.schema)
     corpus = read_corpus_jsonl(args.corpus)
     pairs = export_finetune_pairs(corpus, schema, args.strategy)
     write_text(args.out, jsonl_text(pairs))
     print(f"wrote {len(pairs)} pairs")
-    _write_manifest("export-finetune", args, [args.corpus, args.schema], [args.out])
-    return 0
+    return [args.corpus, args.schema], [args.out]
 
 
 def _build_client(args):
@@ -263,7 +258,7 @@ def _build_client(args):
     return HttpChatClient(config)
 
 
-def cmd_extract(args) -> int:
+def cmd_extract(args) -> tuple[list, list]:
     # Built first, so a refused --base-url fails before any input is read.
     client = _build_client(args)
     schema = _load_schema(args.schema)
@@ -284,38 +279,32 @@ def cmd_extract(args) -> int:
         f"extracted {n_events} events from {len(pred.docs)} documents "
         f"({metrics.queries_total} queries, {len(metrics.failures)} failures)"
     )
-    _write_manifest(
-        "extract", args, [args.corpus, args.train, args.guide_file, args.schema],
-        [args.out, metrics_path],
-    )
-    return 0
+    script = args.mock_script if args.client == "script" else None
+    return [args.corpus, args.train, args.guide_file, args.schema, script], [args.out, metrics_path]
 
 
-def cmd_guide_stub(args) -> int:
+def cmd_guide_stub(args) -> tuple[list, list]:
     schema = _load_schema(args.schema)
     write_text(args.out, guide_stub(schema))
     print(f"wrote guide stub to {args.out}")
-    _write_manifest("guide-stub", args, [args.schema], [args.out])
-    return 0
+    return [args.schema], [args.out]
 
 
-def cmd_brat_export(args) -> int:
+def cmd_brat_export(args) -> tuple[list, list]:
     corpus = read_corpus_jsonl(args.corpus)
     export_brat_dir(corpus, args.out_dir)
     print(f"exported {len(corpus.docs)} documents to {args.out_dir}")
-    _write_manifest("brat-export", args, [args.corpus], [args.out_dir])
-    return 0
+    return [args.corpus], [args.out_dir]
 
 
-def cmd_brat_import(args) -> int:
+def cmd_brat_import(args) -> tuple[list, list]:
     schema = _load_schema(args.schema) if args.schema else None
     corpus, warnings = import_brat_dir(args.in_dir, schema)
     write_corpus_jsonl(corpus, args.out)
     print(f"imported {len(corpus.docs)} documents ({len(warnings)} warnings)")
     for w in warnings[:20]:
         print(f"warning: {w}", file=sys.stderr)
-    _write_manifest("brat-import", args, [args.in_dir], [args.out])
-    return 0
+    return [args.in_dir, args.schema], [args.out]
 
 
 # --- parser ---------------------------------------------------------------------
@@ -429,13 +418,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        _write_manifest(args, *args.func(args))
     except (ConfigurationError, TransportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:  # typed data errors are ValueErrors; OSError: a bad path
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -34,7 +34,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import partial
 
-from .corpus import AnnotatedDocument, Corpus, Document, Event, TextSpan
+from .corpus import (AnnotatedDocument, Corpus, CorpusError, Document, Event, TextSpan,
+                     document_violations)
 from .linearizer import InvalidRecord, ground_span, is_none_answer, parse_events, serialize_events
 from .llm import ChatMessage, Completion, TransportError
 from .schema import ArgumentDef, Schema
@@ -730,8 +731,13 @@ def export_finetune_pairs(corpus: Corpus, schema: Schema, strategy: str) -> list
     ``event`` yields one (instruction + note, linearized events) pair per
     document. ``2sqa`` yields a trigger-step pair per (document, event type)
     and an argument-step pair per (gold event, argument), including "none"
-    targets for absent optional arguments.
+    targets for absent optional arguments. Under either strategy, the first
+    document that breaks the schema (``document_violations``) raises
+    ``CorpusError`` naming it, before any pair is built.
     """
+    for adoc in corpus.docs:
+        if problems := document_violations(adoc, schema):
+            raise CorpusError(f"document {adoc.doc_id!r}: {problems[0]}")
     if strategy == "event":
         pairs = []
         for adoc in corpus.docs:
@@ -750,12 +756,8 @@ def export_finetune_pairs(corpus: Corpus, schema: Schema, strategy: str) -> list
             )
         for ev in sorted(adoc.events, key=lambda e: (e.trigger.start, e.trigger.end, e.event_type)):
             et = schema.event_type(ev.event_type)
-            if et is None:
-                continue
             for adef in et.arguments:
                 bundle = build_argument_prompt(adoc.document.text, et.name, ev.trigger, adef, schema)
-                target = ev.arguments.get(adef.name, "none" if not adef.required else None)
-                if target is None:
-                    continue
+                target = ev.arguments.get(adef.name, "none")
                 pairs.append({"input": _flatten(bundle.messages), "target": target})
     return pairs

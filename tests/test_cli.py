@@ -367,6 +367,27 @@ def test_export_finetune_command(tmp_path, capsys, gold_path):
     assert set(pairs[0]) == {"input", "target"}
 
 
+@pytest.mark.parametrize("strategy", ["event", "2sqa"])
+@pytest.mark.parametrize(
+    "event_type, problem",
+    [
+        ("Frobnicate", "event 0: unknown event type 'Frobnicate'"),
+        ("Tobacco", "event 0: missing required argument Status"),
+    ],
+)
+def test_export_finetune_refuses_a_document_that_breaks_the_schema(tmp_path, capsys, strategy,
+                                                                   event_type, problem):
+    corpus, out = tmp_path / "c.jsonl", tmp_path / "pairs.jsonl"
+    event = {"type": event_type, "trigger": {"start": 0, "end": 6, "text": "smokes"}, "args": {}}
+    corpus.write_text(json.dumps({"doc_id": "d1", "patient_id": "p", "text": "smokes daily",
+                                  "events": [event]}) + "\n")
+    code, stdout, err = _run(
+        capsys, "export-finetune", "--corpus", corpus, "--strategy", strategy, "--out", out
+    )
+    assert (code, stdout, err) == (2, "", f"error: document 'd1': {problem}\n")
+    assert list(tmp_path.iterdir()) == [corpus]
+
+
 def test_extract_oracle_and_score(tmp_path, capsys, gold_path):
     pred = tmp_path / "pred.jsonl"
     code, stdout, _ = _run(
@@ -902,17 +923,27 @@ _TOKEN = st.sampled_from([
 ])
 
 
+def _is_input(token: str) -> bool:
+    return token in _INPUTS or token == "brat"
+
+
+def _copy_inputs(root: Path, argv: str, name: str | None = None, content: bytes = b"") -> list[str]:
+    """Write the valid inputs and an empty out/ under ``root``, with input
+    ``name`` (if any) holding ``content``; returns ``argv`` as a list with
+    its paths under ``root``."""
+    for other, valid in _INPUTS.items():
+        Path(root, other).parent.mkdir(parents=True, exist_ok=True)
+        Path(root, other).write_bytes(content if other == name else valid)
+    Path(root, "out").mkdir()
+    return [str(Path(root, a)) if _is_input(a) or a.startswith("out/") else a for a in argv.split()]
+
+
 def _run_in_copy(argv: str, name: str | None = None, content: bytes = b"") -> tuple[int, str]:
     """Run one command in a fresh copy of the valid inputs, with input
     ``name`` (if any) holding ``content``; returns the exit code and stderr."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        for other, valid in _INPUTS.items():
-            Path(tmp, other).parent.mkdir(parents=True, exist_ok=True)
-            Path(tmp, other).write_bytes(content if other == name else valid)
-        Path(tmp, "out").mkdir()
-        paths = [str(Path(tmp, a)) if a in _INPUTS or a == "brat" or a.startswith("out/") else a
-                 for a in argv.split()]
+        paths = _copy_inputs(Path(tmp), argv, name, content)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(paths)
     return code, err.getvalue()
@@ -922,6 +953,58 @@ def test_every_command_accepts_its_valid_inputs():
     assert {argv for argv, _ in _CASES} == set(_COMMANDS)
     for argv in _COMMANDS:
         assert _run_in_copy(argv) == (0, ""), argv
+
+
+@pytest.mark.parametrize("argv", _COMMANDS)
+def test_every_command_writes_a_manifest_of_the_files_it_read_and_wrote(tmp_path, argv):
+    paths = _copy_inputs(tmp_path, argv)
+    hashes = []
+    for _ in range(2):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(paths) == 0
+        (path,) = tmp_path.rglob("*manifest.json")
+        manifest = json.loads(path.read_text())
+        hashes.append(manifest["config_hash"])
+    tokens = argv.split()
+    assert manifest["command"] == tokens[0]
+    assert sorted(os.path.relpath(p, tmp_path) for p in manifest["inputs"]) == sorted(
+        filter(_is_input, tokens)
+    )
+    outputs = [Path(p) for p in manifest["outputs"]]
+    assert outputs and all(p.exists() for p in outputs)
+    written = [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
+    assert all(p.name.endswith("manifest.json") or any(p == o or o in p.parents for o in outputs)
+               for p in written)
+    assert manifest["seeds"] == ({"seed": int(tokens[tokens.index("--seed") + 1])}
+                                 if "--seed" in tokens else {})
+    assert hashes[0] == hashes[1]
+
+
+def test_a_command_that_fails_writes_no_manifest(tmp_path):
+    argv = "score --gold gold.jsonl --pred pred.jsonl --out out/report"
+    stray = '{"doc_id":"stray","patient_id":"p","text":"x","events":[]}\n'.encode()
+    paths = _copy_inputs(tmp_path, argv, "pred.jsonl", _INPUTS["pred.jsonl"] + stray)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(paths) == 2
+    assert "unknown documents: stray" in err.getvalue()
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_extract_metrics_out_is_written_and_listed(tmp_path):
+    argv = ("extract --corpus gold.jsonl --strategy 2sqa-base --seed 1 --client oracle"
+            " --out out/pred.jsonl --metrics-out out/metrics.json")
+    paths = _copy_inputs(tmp_path, argv)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(paths) == 0
+    out = tmp_path / "out"
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert (metrics["strategy"], metrics["n_docs"]) == ("2sqa-base", 3)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "metrics.json", "pred.jsonl", "pred.jsonl.manifest.json"
+    ]
+    manifest = json.loads((out / "pred.jsonl.manifest.json").read_text())
+    assert manifest["outputs"] == [str(out / "pred.jsonl"), str(out / "metrics.json")]
 
 
 @settings(max_examples=200, deadline=None)
