@@ -194,7 +194,7 @@ _META_KEYS = ("doc_id", "patient_id", "note_date", "annotator_id", "split")
 
 
 def export_brat_dir(corpus: Corpus, dirpath) -> None:
-    """Write <doc_id>.txt/.ann pairs plus a metadata sidecar.
+    """Write a metadata sidecar, then <doc_id>.txt/.ann pairs.
 
     The sidecar preserves patient ids, note dates, annotator ids, and split
     assignments, which the standoff files themselves cannot carry; its lines
@@ -207,14 +207,13 @@ def export_brat_dir(corpus: Corpus, dirpath) -> None:
         if problems:
             raise AnnFormatError(f"{adoc.doc_id}: " + "; ".join(problems))
     os.makedirs(dirpath, exist_ok=True)
-    meta = []
+    objs = (doc_to_obj(adoc, corpus.split_assignment.get(adoc.doc_id)) for adoc in corpus.docs)
+    meta = [{key: obj.get(key) for key in _META_KEYS} for obj in objs]
+    write_text(os.path.join(dirpath, _META_FILE), jsonl_text(meta))
     for adoc in corpus.docs:
         doc = adoc.document
         write_text(os.path.join(dirpath, f"{doc.doc_id}.txt"), doc.text)
         write_text(os.path.join(dirpath, f"{doc.doc_id}.ann"), write_ann(adoc.events, doc.text))
-        obj = doc_to_obj(adoc, corpus.split_assignment.get(doc.doc_id))
-        meta.append({key: obj.get(key) for key in _META_KEYS})
-    write_text(os.path.join(dirpath, _META_FILE), jsonl_text(meta))
 
 
 def import_brat_dir(dirpath, schema: Schema | None = None) -> tuple[Corpus, list[str]]:

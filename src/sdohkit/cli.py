@@ -1,11 +1,11 @@
 """Command-line entry point.
 
-Each ``cmd_*`` function returns the files it read and the files it wrote;
-``main`` alone then writes the run manifest (<first output>.manifest.json, or
-manifest.json inside an output directory), after every output and only when
-the command succeeded. It records the command, a hash of its configuration,
-seeds, input and output paths, the tool version, and a timestamp, so any
-artifact can be reproduced.
+``main`` runs each command under a file ledger (``corpus.LEDGER``): a
+command refuses to write a file it has already read or written. When the
+command succeeds, ``main`` alone writes the run manifest to <first file
+written>.manifest.json. It records the command, a hash of its configuration,
+seeds, the files read and the files written (each once, in order), the tool
+version, and a timestamp, so any artifact can be reproduced.
 
 Exit codes: 0 success, 1 usage, 2 data validation or an unusable path, 3
 transport or client configuration. Document text never reaches stdout or
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
@@ -25,6 +24,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .brat import export_brat_dir, import_brat_dir
 from .corpus import (
+    LEDGER,
     AnnotatedDocument,
     CorpusError,
     Corpus,
@@ -64,27 +64,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def _write_manifest(args: argparse.Namespace, inputs: list, outputs: list) -> None:
+def _write_manifest(args: argparse.Namespace, ledger: dict) -> None:
     cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    seeds = {k: v for k, v in cfg.items() if "seed" in k and v is not None}
     manifest = {
         "command": args.command,
         "tool_version": __version__,
-        "timestamp": _utc_now(),
+        "timestamp": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         "config_hash": hashlib.sha256(
             json.dumps(cfg, sort_keys=True, default=str).encode("utf-8")
         ).hexdigest(),
-        "seeds": seeds,
-        "inputs": [str(p) for p in inputs if p],
-        "outputs": [str(p) for p in outputs if p],
+        "seeds": {k: v for k, v in cfg.items() if "seed" in k and v is not None},
+        "inputs": [p for p, how in ledger.values() if how == "read"],
+        "outputs": [p for p, how in ledger.values() if how == "wrote"],
     }
-    first = outputs[0]
-    path = os.path.join(first, "manifest.json") if os.path.isdir(first) else f"{first}.manifest.json"
-    write_text(path, json.dumps(manifest, indent=2) + "\n")
+    write_text(f"{manifest['outputs'][0]}.manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
 def _load_schema(path: str | None):
@@ -97,7 +90,7 @@ def _write_json(obj, path) -> None:
 
 # --- commands -----------------------------------------------------------------
 
-def cmd_score(args) -> tuple[list, list]:
+def cmd_score(args) -> None:
     schema = _load_schema(args.schema)
     gold = read_corpus_jsonl(args.gold)
     pred = read_corpus_jsonl(args.pred)
@@ -110,10 +103,9 @@ def cmd_score(args) -> tuple[list, list]:
     _write_json(obj, f"{args.out}.json")
     write_text(f"{args.out}.txt", table)
     print(table, end="")
-    return [args.gold, args.pred, args.schema], [f"{args.out}.json", f"{args.out}.txt"]
 
 
-def cmd_iaa(args) -> tuple[list, list]:
+def cmd_iaa(args) -> None:
     schema = _load_schema(args.schema)
     ann_a = read_corpus_jsonl(args.ann_a)
     ann_b = read_corpus_jsonl(args.ann_b)
@@ -127,10 +119,9 @@ def cmd_iaa(args) -> tuple[list, list]:
     }
     _write_json(obj, f"{args.out}.json")
     print(iaa.summary_line())
-    return [args.ann_a, args.ann_b, args.schema], [f"{args.out}.json"]
 
 
-def cmd_significance(args) -> tuple[list, list]:
+def cmd_significance(args) -> None:
     # Only this command loads numpy, which costs every other command ~150 ms at start.
     from .significance import bootstrap_test
 
@@ -144,7 +135,6 @@ def cmd_significance(args) -> tuple[list, list]:
     _write_json(result.to_obj(), args.out)
     print(f"significant at 0.05: {'yes' if result.significant else 'no'}")
     print(f"p-value: {result.p_value:.6g}  delta: {result.observed_delta:+.4f}")
-    return [args.gold, args.pred_a, args.pred_b], [args.out]
 
 
 def _read_rules(path: str | None) -> list[str] | None:
@@ -153,7 +143,7 @@ def _read_rules(path: str | None) -> list[str] | None:
     return [ln for ln in read_text(path).splitlines() if ln.strip()]
 
 
-def cmd_sections(args) -> tuple[list, list]:
+def cmd_sections(args) -> None:
     heading_rules, social_rules = _read_rules(args.heading_rules), _read_rules(args.social_rules)
 
     notes = list(jsonl_documents(read_text(args.notes), default_patient=True, name=args.notes))
@@ -182,10 +172,9 @@ def cmd_sections(args) -> tuple[list, list]:
                 print(f"{doc.doc_id}: {social.heading}")
     write_text(args.out, jsonl_text(out_objs))
     print(f"processed {len(notes)} notes, {n_match} with a social-history section")
-    return [args.notes, args.heading_rules, args.social_rules], [args.out]
 
 
-def cmd_sample(args) -> tuple[list, list]:
+def cmd_sample(args) -> None:
     corpus = read_corpus_jsonl(args.corpus)
     if args.dedup_per_patient:
         corpus = dedup_per_patient(corpus, args.seed)
@@ -201,10 +190,9 @@ def cmd_sample(args) -> tuple[list, list]:
         corpus = split_corpus(corpus, sizes, args.seed)
     write_corpus_jsonl(corpus, args.out)
     print(f"wrote {len(corpus.docs)} documents")
-    return [args.corpus], [args.out]
 
 
-def cmd_synthetic(args) -> tuple[list, list]:
+def cmd_synthetic(args) -> None:
     schema = _load_schema(args.schema)
     if args.fewshot_coverage:
         base = generate_fewshot_train(schema, args.seed)
@@ -218,16 +206,14 @@ def cmd_synthetic(args) -> tuple[list, list]:
         corpus = generate_synthetic(schema, args.n, args.seed)
     write_corpus_jsonl(corpus, args.out)
     print(f"wrote {len(corpus.docs)} synthetic documents")
-    return [args.schema], [args.out]
 
 
-def cmd_export_finetune(args) -> tuple[list, list]:
+def cmd_export_finetune(args) -> None:
     schema = _load_schema(args.schema)
     corpus = read_corpus_jsonl(args.corpus)
     pairs = export_finetune_pairs(corpus, schema, args.strategy)
     write_text(args.out, jsonl_text(pairs))
     print(f"wrote {len(pairs)} pairs")
-    return [args.corpus, args.schema], [args.out]
 
 
 def _build_client(args):
@@ -258,7 +244,7 @@ def _build_client(args):
     return HttpChatClient(config)
 
 
-def cmd_extract(args) -> tuple[list, list]:
+def cmd_extract(args) -> None:
     # Built first, so a refused --base-url fails before any input is read.
     client = _build_client(args)
     schema = _load_schema(args.schema)
@@ -272,39 +258,33 @@ def cmd_extract(args) -> tuple[list, list]:
         repair=not args.no_repair,
     )
     write_corpus_jsonl(pred, args.out)
-    metrics_path = args.metrics_out or f"{args.out}.metrics.json"
-    _write_json(metrics.to_obj(), metrics_path)
+    _write_json(metrics.to_obj(), f"{args.out}.metrics.json")
     n_events = sum(len(d.events) for d in pred.docs)
     print(
         f"extracted {n_events} events from {len(pred.docs)} documents "
         f"({metrics.queries_total} queries, {len(metrics.failures)} failures)"
     )
-    script = args.mock_script if args.client == "script" else None
-    return [args.corpus, args.train, args.guide_file, args.schema, script], [args.out, metrics_path]
 
 
-def cmd_guide_stub(args) -> tuple[list, list]:
+def cmd_guide_stub(args) -> None:
     schema = _load_schema(args.schema)
     write_text(args.out, guide_stub(schema))
     print(f"wrote guide stub to {args.out}")
-    return [args.schema], [args.out]
 
 
-def cmd_brat_export(args) -> tuple[list, list]:
+def cmd_brat_export(args) -> None:
     corpus = read_corpus_jsonl(args.corpus)
     export_brat_dir(corpus, args.out_dir)
     print(f"exported {len(corpus.docs)} documents to {args.out_dir}")
-    return [args.corpus], [args.out_dir]
 
 
-def cmd_brat_import(args) -> tuple[list, list]:
+def cmd_brat_import(args) -> None:
     schema = _load_schema(args.schema) if args.schema else None
     corpus, warnings = import_brat_dir(args.in_dir, schema)
     write_corpus_jsonl(corpus, args.out)
     print(f"imported {len(corpus.docs)} documents ({len(warnings)} warnings)")
     for w in warnings[:20]:
         print(f"warning: {w}", file=sys.stderr)
-    return [args.in_dir, args.schema], [args.out]
 
 
 # --- parser ---------------------------------------------------------------------
@@ -393,7 +373,6 @@ def build_parser() -> _Parser:
     p.add_argument("--max-retries", type=int, default=ClientConfig.max_retries)
     p.add_argument("--max-concurrent", type=int, default=ClientConfig.max_concurrent)
     p.add_argument("--out", required=True)
-    p.add_argument("--metrics-out")
 
     p = add("guide-stub", cmd_guide_stub, "write a placeholder guide file for a schema")
     p.add_argument("--schema")
@@ -417,14 +396,18 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    token = LEDGER.set({})
     try:
-        _write_manifest(args, *args.func(args))
+        args.func(args)
+        _write_manifest(args, LEDGER.get())
     except (ConfigurationError, TransportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:  # typed data errors are ValueErrors; OSError: a bad path
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        LEDGER.reset(token)
     return 0
 
 

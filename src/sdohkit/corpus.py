@@ -2,6 +2,11 @@
 extraction, per-patient dedup, sampling, splits, and the file boundary:
 every file sdohkit reads or writes goes through ``read_text``/``write_text``.
 
+While ``LEDGER`` holds a dict (``cli.main`` sets one per command), each read
+and write records ``realpath -> (path as given, "read" | "wrote")`` in it, and
+``write_text`` refuses a recorded path. ``qa._map_in_order``'s worker threads
+do not inherit it; no command reads or writes a file off the main thread.
+
 Character offsets are Unicode code-point indices into the document text,
 half-open ``[start, end)``. Corpus values are treated as immutable once
 constructed; all operations return new corpora.
@@ -10,6 +15,7 @@ constructed; all operations return new corpora.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import json
 import os
 import random
@@ -24,6 +30,9 @@ from .schema import Schema, validate_event
 
 class CorpusError(ValueError):
     """Invalid corpus data or operation arguments."""
+
+
+LEDGER: contextvars.ContextVar[dict | None] = contextvars.ContextVar("ledger", default=None)
 
 
 # Generic topical-heading patterns and the social-history subset. Both are
@@ -315,6 +324,8 @@ def read_text(path) -> str:
     """A file's text as stored: strict UTF-8, no newline translation, so
     offsets into it count every ``\\r``. CorpusError names the file and line
     of an undecodable byte."""
+    if (ledger := LEDGER.get()) is not None:
+        ledger.setdefault(os.path.realpath(path), (str(path), "read"))
     with open(path, "rb") as f:
         data = f.read()
     try:
@@ -332,7 +343,12 @@ def write_text(path, text: str) -> None:
     with its mode, so a failed or killed write never leaves it half written
     nor a temporary file; a device, FIFO or directory is written in place."""
     data = text.encode("utf-8")
-    tmp = f"{os.path.realpath(path)}.{os.urandom(4).hex()}.tmp"
+    real = os.path.realpath(path)
+    if (ledger := LEDGER.get()) is not None:
+        if seen := ledger.get(real):
+            raise CorpusError(f"refusing to write {path}: this command already {seen[1]} {seen[0]}")
+        ledger[real] = (str(path), "wrote")
+    tmp = f"{real}.{os.urandom(4).hex()}.tmp"
     try:
         f = open(tmp, "xb") if os.path.isfile(path) or not os.path.exists(path) else None
     except OSError:  # an unwritable directory, a name at the length limit: write in place
@@ -343,7 +359,7 @@ def write_text(path, text: str) -> None:
         if f:
             with contextlib.suppress(FileNotFoundError):
                 shutil.copymode(path, tmp)
-            os.replace(tmp, os.path.realpath(path))
+            os.replace(tmp, real)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)

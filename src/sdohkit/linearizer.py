@@ -45,23 +45,25 @@ def contains_reserved(text: str) -> bool:
     return any(tok in text for tok in RESERVED_TOKENS)
 
 
-def serialize_events(events: list[Event], schema: Schema) -> str:
+def serialize_events(events: list[Event], schema: Schema, where: str = "") -> str:
     """Encode events in trigger start order; "NONE" when there are none.
 
     Within an event, required arguments come before optional ones, each
-    group in schema declaration order.
+    group in schema declaration order. A SerializeError starts with ``where``
+    and names the event by index, type and offsets, never by its text.
     """
     if not events:
         return "NONE"
     parts = []
-    for ev in sorted(events, key=lambda e: (e.trigger.start, e.trigger.end, e.event_type)):
+    for i, ev in sorted(
+        enumerate(events), key=lambda p: (p[1].trigger.start, p[1].trigger.end, p[1].event_type)
+    ):
+        what = f"{where}event {i} {ev.event_type!r} [{ev.trigger.start},{ev.trigger.end})"
         violations = validate_event(schema, ev)
         if violations:
-            raise SerializeError(f"event {ev.event_type!r}: {violations[0]}")
+            raise SerializeError(f"{what}: {violations[0]}")
         if contains_reserved(ev.trigger.text):
-            raise SerializeError(
-                f"trigger text {ev.trigger.text!r} contains a reserved token"
-            )
+            raise SerializeError(f"{what}: trigger text contains a reserved token")
         et = schema.event_type(ev.event_type)
         ordered = [a.name for a in et.required_arguments if a.name in ev.arguments]
         ordered += [a.name for a in et.optional_arguments if a.name in ev.arguments]
@@ -69,7 +71,7 @@ def serialize_events(events: list[Event], schema: Schema) -> str:
         for name in ordered:
             subtype = ev.arguments[name]
             if contains_reserved(subtype):
-                raise SerializeError(f"subtype {subtype!r} contains a reserved token")
+                raise SerializeError(f"{what}: subtype {subtype!r} contains a reserved token")
             clauses.append(f"{name} = {subtype} [{ev.trigger.text}]")
         parts.append(" | ".join(clauses))
     return " AND ".join(parts)

@@ -111,7 +111,7 @@ def build_event_prompt(text: str, schema: Schema, example_doc: AnnotatedDocument
         + "\n\nExample note:\n"
         + example_doc.document.text
         + "\n\nExample output:\n"
-        + serialize_events(example_doc.events, schema)
+        + serialize_events(example_doc.events, schema, f"document {example_doc.doc_id!r}: ")
     )
     user = "Note:\n" + text
     return PromptBundle([ChatMessage("system", system), ChatMessage("user", user)])
@@ -484,7 +484,7 @@ class GoldOracleClient:
             return Completion("none")
         if type_m:
             return Completion(_trigger_answer(doc, type_m.group(1)))
-        return Completion(serialize_events(doc.events, self.schema))
+        return Completion(serialize_events(doc.events, self.schema, f"document {doc.doc_id!r}: "))
 
 
 class NonsenseClient:
@@ -739,11 +739,10 @@ def export_finetune_pairs(corpus: Corpus, schema: Schema, strategy: str) -> list
         if problems := document_violations(adoc, schema):
             raise CorpusError(f"document {adoc.doc_id!r}: {problems[0]}")
     if strategy == "event":
-        pairs = []
-        for adoc in corpus.docs:
-            prompt = _event_header(schema) + "\n\nNote:\n" + adoc.document.text
-            pairs.append({"input": prompt, "target": serialize_events(adoc.events, schema)})
-        return pairs
+        header = _event_header(schema) + "\n\nNote:\n"
+        return [{"input": header + adoc.document.text,
+                 "target": serialize_events(adoc.events, schema, f"document {adoc.doc_id!r}: ")}
+                for adoc in corpus.docs]
     if strategy != "2sqa":
         raise ValueError(f"unknown export strategy {strategy!r} (expected 'event' or '2sqa')")
 

@@ -388,6 +388,29 @@ def test_export_finetune_refuses_a_document_that_breaks_the_schema(tmp_path, cap
     assert list(tmp_path.iterdir()) == [corpus]
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "export-finetune --strategy event",
+        "extract --strategy event --seed 1 --client oracle --train {corpus}",
+    ],
+)
+def test_an_unserializable_trigger_is_named_without_its_text(tmp_path, capsys, command):
+    corpus, out = tmp_path / "c.jsonl", tmp_path / "o.jsonl"
+    text, trigger = "Social: lives with mom\nand dad.", "lives with mom\nand"
+    start = text.index(trigger)
+    event = {"type": "LivingArrangement", "args": {"Type": "family", "Status": "current"},
+             "trigger": {"start": start, "end": start + len(trigger), "text": trigger}}
+    corpus.write_text(json.dumps({"doc_id": "d1", "patient_id": "p", "text": text,
+                                  "events": [event]}) + "\n")
+    argv = command.format(corpus=corpus).split()
+    code, stdout, err = _run(capsys, *argv, "--corpus", corpus, "--out", out)
+    assert (code, stdout) == (2, "")
+    assert err == ("error: document 'd1': event 0 'LivingArrangement' [8,26): "
+                   "trigger text contains a reserved token\n")
+    assert sorted(tmp_path.iterdir()) == [corpus]
+
+
 def test_extract_oracle_and_score(tmp_path, capsys, gold_path):
     pred = tmp_path / "pred.jsonl"
     code, stdout, _ = _run(
@@ -567,7 +590,7 @@ def test_brat_round_trip_commands(tmp_path, capsys, gold_path):
     brat_dir = tmp_path / "brat"
     back = tmp_path / "back.jsonl"
     assert _run(capsys, "brat-export", "--corpus", gold_path, "--out-dir", brat_dir)[0] == 0
-    assert (brat_dir / "manifest.json").exists()
+    assert (brat_dir / "metadata.jsonl.manifest.json").exists()
     assert _run(capsys, "brat-import", "--in-dir", brat_dir, "--out", back)[0] == 0
     assert back.read_text() == gold_path.read_text()
 
@@ -967,14 +990,18 @@ def test_every_command_writes_a_manifest_of_the_files_it_read_and_wrote(tmp_path
         hashes.append(manifest["config_hash"])
     tokens = argv.split()
     assert manifest["command"] == tokens[0]
-    assert sorted(os.path.relpath(p, tmp_path) for p in manifest["inputs"]) == sorted(
-        filter(_is_input, tokens)
-    )
+    inputs = [os.path.relpath(p, tmp_path) for p in manifest["inputs"]]
+    if tokens[0] == "brat-import":  # read in order: schema, sidecar, then each .txt and its .ann
+        stems = [n[:-len(".txt")] for n in sorted(_INPUTS)
+                 if n.startswith("brat/") and n.endswith(".txt")]
+        pairs = [f"{stem}.{ext}" for stem in stems for ext in ("txt", "ann")]
+        assert inputs == ["schema.json", "brat/metadata.jsonl", *pairs]
+    else:  # each file once, however often the command line names it
+        assert sorted(inputs) == sorted(set(filter(_is_input, tokens)))
     outputs = [Path(p) for p in manifest["outputs"]]
-    assert outputs and all(p.exists() for p in outputs)
+    assert path == Path(f"{outputs[0]}.manifest.json")
     written = [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
-    assert all(p.name.endswith("manifest.json") or any(p == o or o in p.parents for o in outputs)
-               for p in written)
+    assert sorted(written) == sorted([*outputs, path])
     assert manifest["seeds"] == ({"seed": int(tokens[tokens.index("--seed") + 1])}
                                  if "--seed" in tokens else {})
     assert hashes[0] == hashes[1]
@@ -991,20 +1018,98 @@ def test_a_command_that_fails_writes_no_manifest(tmp_path):
     assert list((tmp_path / "out").iterdir()) == []
 
 
-def test_extract_metrics_out_is_written_and_listed(tmp_path):
-    argv = ("extract --corpus gold.jsonl --strategy 2sqa-base --seed 1 --client oracle"
-            " --out out/pred.jsonl --metrics-out out/metrics.json")
-    paths = _copy_inputs(tmp_path, argv)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(paths) == 0
-    out = tmp_path / "out"
-    metrics = json.loads((out / "metrics.json").read_text())
-    assert (metrics["strategy"], metrics["n_docs"]) == ("2sqa-base", 3)
-    assert sorted(p.name for p in out.iterdir()) == [
-        "metrics.json", "pred.jsonl", "pred.jsonl.manifest.json"
-    ]
-    manifest = json.loads((out / "pred.jsonl.manifest.json").read_text())
-    assert manifest["outputs"] == [str(out / "pred.jsonl"), str(out / "metrics.json")]
+def test_extract_has_no_metrics_out_option(tmp_path, capsys, gold_path):
+    code, _, err = _run(
+        capsys, "extract", "--corpus", gold_path, "--strategy", "2sqa-base", "--seed", 1,
+        "--client", "oracle", "--out", tmp_path / "p.jsonl", "--metrics-out", tmp_path / "m.json",
+    )
+    assert code == 1
+    assert "unrecognized arguments: --metrics-out" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gold.jsonl"]
+
+
+@pytest.mark.parametrize(
+    "argv, read, refused",
+    [
+        ("significance --gold g.jsonl --pred-a g.jsonl --pred-b g.jsonl --seed 1 --resamples 10"
+         " --out g.jsonl", "g.jsonl", "g.jsonl"),
+        ("extract --corpus g.jsonl --strategy 2sqa-base --seed 1 --client nonsense --out g.jsonl",
+         "g.jsonl", "g.jsonl"),
+        ("sample --corpus g.jsonl.manifest.json --seed 1 --out g.jsonl",
+         "g.jsonl.manifest.json", "g.jsonl.manifest.json"),
+    ],
+    ids=["significance", "extract", "manifest"],
+)
+def test_a_command_refuses_to_write_a_file_it_has_read(tmp_path, capsys, gold_path, argv, read,
+                                                        refused):
+    run = tmp_path / "run"
+    run.mkdir()
+    data = gold_path.read_bytes()
+    (run / read).write_bytes(data)
+    code, stdout, err = _run(capsys, *(run / t if t.startswith("g.") else t for t in argv.split()))
+    assert code == 2
+    assert err == (f"error: refusing to write {run / refused}:"
+                   f" this command already read {run / read}\n")
+    assert (run / read).read_bytes() == data
+    # No manifest: only the input and, when it differs, the one output are there.
+    assert sorted(p.name for p in run.iterdir()) == sorted({read, "g.jsonl"})
+
+
+_OUT_POOL = ["out/a", "out/a.json", "out/a.manifest.json", "out/a.metrics.json"]
+_DIR_POOL = ["brat", "out/brat", "out"]
+
+
+def _snapshot(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_no_command_damages_a_file_it_reads(data):
+    """Each subcommand, with every output path redrawn from its own inputs and
+    a few output names, and an input sometimes replaced by out/a.manifest.json
+    (a valid corpus), so that inputs, outputs, metrics and manifests collide,
+    exits 0 to 3 and never prints a traceback. Every input keeps its bytes.
+    After exit 0 every changed file is a listed output or the manifest; after
+    any other exit no manifest is written."""
+    tokens = data.draw(st.sampled_from(_COMMANDS)).split()
+    pool = sorted({t for t in tokens if t in _INPUTS} | set(_OUT_POOL))
+    at_input = [i for i, t in enumerate(tokens) if _is_input(t)]
+    at_path = [i for i, t in enumerate(tokens) if _is_input(t) or t.startswith("out/")]
+    for i in at_path:
+        t = tokens[i]
+        if t in _DIR_POOL:
+            names = _DIR_POOL
+        elif i in at_input:  # mostly kept, so that about half the runs get as far as writing
+            names = [t, t, t, "out/a.manifest.json"]
+        else:
+            names = pool
+        tokens[i] = data.draw(st.sampled_from(names))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        _copy_inputs(root, "")
+        (root / "out/a.manifest.json").write_bytes(_INPUTS["gold.jsonl"])
+        before = _snapshot(root)
+        inputs = {name for i in at_input for name in before
+                  if name == tokens[i] or name.startswith(tokens[i] + "/")}
+        argv = [str(root / t) if i in at_path else t for i, t in enumerate(tokens)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        after = _snapshot(root)
+    assert code in (0, 1, 2, 3), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert all(after.get(name) == before[name] for name in inputs), (argv, err.getvalue())
+    changed = {name for name in after if after[name] != before.get(name)}
+    # Only a manifest holds a config_hash; no input or other output does.
+    manifests = {name for name in changed if b'"config_hash"' in after[name]}
+    if code == 0:
+        (manifest,) = manifests
+        outputs = [os.path.relpath(p, root) for p in json.loads(after[manifest])["outputs"]]
+        assert manifest == f"{outputs[0]}.manifest.json"
+        assert changed - {manifest} <= set(outputs)
+    else:
+        assert not manifests, (argv, err.getvalue())
 
 
 @settings(max_examples=200, deadline=None)
