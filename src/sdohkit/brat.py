@@ -196,19 +196,18 @@ _META_KEYS = ("doc_id", "patient_id", "note_date", "annotator_id", "split")
 def export_brat_dir(corpus: Corpus, dirpath) -> None:
     """Write a metadata sidecar, then <doc_id>.txt/.ann pairs.
 
-    The sidecar preserves patient ids, note dates, annotator ids, and split
-    assignments, which the standoff files themselves cannot carry; its lines
-    are corpus lines without text and events, with an explicit null split.
-    Every document, and every label against ``_label_violations``, is
-    checked before anything is written.
+    The sidecar preserves patient ids, note dates, annotator ids, and splits,
+    which the standoff files themselves cannot carry; its lines are corpus
+    lines without text and events, with an explicit null split. Every
+    document (its split included) against ``document_violations``, and every
+    label against ``_label_violations``, is checked before anything is written.
     """
     for adoc in corpus.docs:
         problems = document_violations(adoc) or _label_violations(adoc.events)
         if problems:
             raise AnnFormatError(f"{adoc.doc_id}: " + "; ".join(problems))
     os.makedirs(dirpath, exist_ok=True)
-    objs = (doc_to_obj(adoc, corpus.split_assignment.get(adoc.doc_id)) for adoc in corpus.docs)
-    meta = [{key: obj.get(key) for key in _META_KEYS} for obj in objs]
+    meta = [{key: obj.get(key) for key in _META_KEYS} for obj in map(doc_to_obj, corpus.docs)]
     write_text(os.path.join(dirpath, _META_FILE), jsonl_text(meta))
     for adoc in corpus.docs:
         doc = adoc.document
@@ -234,7 +233,6 @@ def import_brat_dir(dirpath, schema: Schema | None = None) -> tuple[Corpus, list
             meta[doc_id] = (where, obj)
 
     docs = []
-    assignment: dict[str, str] = {}
     warnings: list[str] = []
     names = sorted(n for n in os.listdir(dirpath) if n.endswith(".txt"))
     for name in names:
@@ -249,8 +247,5 @@ def import_brat_dir(dirpath, schema: Schema | None = None) -> tuple[Corpus, list
         warnings.extend(f"{doc_id}.ann: {w}" for w in warns)
         where, m = meta.get(doc_id, (name, {}))
         record = {**m, "doc_id": doc_id, "text": text}
-        adoc, split = document_from_obj(record, events, where, default_patient=True)
-        docs.append(adoc)
-        if split is not None:
-            assignment[doc_id] = split
-    return Corpus(docs, assignment), warnings
+        docs.append(document_from_obj(record, events, where, default_patient=True))
+    return Corpus(docs), warnings

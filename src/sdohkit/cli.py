@@ -149,7 +149,7 @@ def cmd_sections(args) -> None:
     notes = list(jsonl_documents(read_text(args.notes), default_patient=True, name=args.notes))
     n_match = 0
     out_objs = []
-    for adoc, _ in notes:
+    for adoc in notes:
         doc = adoc.document
         sections = extract_sections(doc.text, heading_rules)
         social = select_social_history(sections, social_rules)
@@ -157,7 +157,7 @@ def cmd_sections(args) -> None:
             if social is None or not social.body.strip():
                 continue
             n_match += 1
-            out_objs.append(doc_to_obj(AnnotatedDocument(replace(doc, text=social.body)), None))
+            out_objs.append(doc_to_obj(AnnotatedDocument(replace(doc, text=social.body))))
         else:
             if social is not None:
                 n_match += 1

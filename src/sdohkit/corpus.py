@@ -83,9 +83,12 @@ class Document:
 
 @dataclass
 class AnnotatedDocument:
+    """A document, its events, its annotator and its split (in ``SPLIT_NAMES``, or None)."""
+
     document: Document
     events: list[Event] = field(default_factory=list)
     annotator_id: str | None = None
+    split: str | None = None
 
     @property
     def doc_id(self) -> str:
@@ -94,8 +97,9 @@ class AnnotatedDocument:
 
 @dataclass
 class Corpus:
+    """An ordered list of annotated documents; each carries its own split."""
+
     docs: list[AnnotatedDocument] = field(default_factory=list)
-    split_assignment: dict[str, str] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.docs)
@@ -108,9 +112,10 @@ class Corpus:
         return [d.doc_id for d in self.docs]
 
     def split(self, name: str) -> "Corpus":
-        """Sub-corpus of documents assigned to one split."""
-        keep = [d for d in self.docs if self.split_assignment.get(d.doc_id) == name]
-        return Corpus(keep, {d.doc_id: name for d in keep})
+        """Sub-corpus of one split; CorpusError for a name outside ``SPLIT_NAMES``."""
+        if name not in SPLIT_NAMES:
+            raise CorpusError(f"unknown split {name!r}; expected one of {', '.join(SPLIT_NAMES)}")
+        return Corpus([d for d in self.docs if d.split == name])
 
 
 SPLIT_NAMES = ("train", "validation", "test")
@@ -120,12 +125,13 @@ def document_violations(adoc: AnnotatedDocument, schema: Schema | None = None) -
     """Structural invariant check for one annotated document.
 
     Verifies the field types (non-empty string doc_id, patient_id and text,
-    a YYYY-MM-DD note_date or None, a string annotator_id or None), that
-    every string, event labels included, encodes as UTF-8, that no argument
-    name holds a '.' (which joins "Type.Argument" keys), that the doc_id
-    can name a file inside a directory, trigger bounds, surface-text
-    agreement with the document, and the one-event-per-(type, span)
-    constraint; optionally also runs schema validation on each event.
+    a YYYY-MM-DD note_date or None, a string annotator_id or None, a split
+    in ``SPLIT_NAMES`` or None), that every string, event labels included,
+    encodes as UTF-8, that no argument name holds a '.' (which joins
+    "Type.Argument" keys), that the doc_id can name a file inside a
+    directory, trigger bounds, surface-text agreement with the document, and
+    the one-event-per-(type, span) constraint; optionally also runs schema
+    validation on each event.
     """
     doc = adoc.document
     out = [
@@ -145,6 +151,8 @@ def document_violations(adoc: AnnotatedDocument, schema: Schema | None = None) -
                 out.append(f"'note_date' {doc.note_date!r} is not an ISO-8601 date")
     if adoc.annotator_id is not None and not isinstance(adoc.annotator_id, str):
         out.append("'annotator_id' must be a string or null")
+    if adoc.split is not None and adoc.split not in SPLIT_NAMES:
+        out.append(f"unknown split {adoc.split!r}")
     if out:
         return out
     for key, value in (("doc_id", doc.doc_id), ("patient_id", doc.patient_id), ("text", doc.text),
@@ -266,10 +274,8 @@ def select_social_history(
 
 
 def _subset(corpus: Corpus, keep_ids: set[str]) -> Corpus:
-    """The kept documents, in corpus order, with their split assignments."""
-    docs = [d for d in corpus.docs if d.doc_id in keep_ids]
-    assignment = {k: v for k, v in corpus.split_assignment.items() if k in keep_ids}
-    return Corpus(docs, assignment)
+    """The kept documents, in corpus order."""
+    return Corpus([d for d in corpus.docs if d.doc_id in keep_ids])
 
 
 def dedup_per_patient(corpus: Corpus, seed: int) -> Corpus:
@@ -296,7 +302,7 @@ def sample_corpus(corpus: Corpus, n: int, seed: int) -> Corpus:
 
 
 def split_corpus(corpus: Corpus, sizes: tuple[int, int, int], seed: int) -> Corpus:
-    """Randomly assign train/validation/test splits of the requested sizes."""
+    """Randomly assign train/validation/test splits of the requested sizes; the rest get None."""
     n_train, n_val, n_test = sizes
     if min(sizes) < 0:
         raise CorpusError(f"split sizes must be >= 0, got {n_train},{n_val},{n_test}")
@@ -308,14 +314,9 @@ def split_corpus(corpus: Corpus, sizes: tuple[int, int, int], seed: int) -> Corp
     ids = sorted(d.doc_id for d in corpus.docs)
     rng = random.Random(f"split:{seed}")
     rng.shuffle(ids)
-    assignment: dict[str, str] = {}
-    for doc_id in ids[:n_train]:
-        assignment[doc_id] = "train"
-    for doc_id in ids[n_train : n_train + n_val]:
-        assignment[doc_id] = "validation"
-    for doc_id in ids[n_train + n_val : total]:
-        assignment[doc_id] = "test"
-    return Corpus(list(corpus.docs), assignment)
+    assignment = dict(zip(ids, ["train"] * n_train + ["validation"] * n_val + ["test"] * n_test))
+    return Corpus([AnnotatedDocument(d.document, d.events, d.annotator_id, assignment.get(d.doc_id))
+                   for d in corpus.docs])
 
 
 # --- files and JSONL persistence -------------------------------------------
@@ -375,7 +376,7 @@ def json_value(text: str, where):
         raise CorpusError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
 
 
-def doc_to_obj(adoc: AnnotatedDocument, split: str | None) -> dict:
+def doc_to_obj(adoc: AnnotatedDocument) -> dict:
     obj = {
         "doc_id": adoc.document.doc_id,
         "patient_id": adoc.document.patient_id,
@@ -391,8 +392,8 @@ def doc_to_obj(adoc: AnnotatedDocument, split: str | None) -> dict:
             for ev in adoc.events
         ],
     }
-    if split is not None:
-        obj["split"] = split
+    if adoc.split is not None:
+        obj["split"] = adoc.split
     return obj
 
 
@@ -419,7 +420,7 @@ def jsonl_text(objs) -> str:
 
 
 def corpus_to_jsonl(corpus: Corpus) -> str:
-    return jsonl_text(doc_to_obj(d, corpus.split_assignment.get(d.doc_id)) for d in corpus.docs)
+    return jsonl_text(doc_to_obj(d) for d in corpus.docs)
 
 
 def write_corpus_jsonl(corpus: Corpus, path) -> None:
@@ -428,8 +429,8 @@ def write_corpus_jsonl(corpus: Corpus, path) -> None:
 
 def document_from_obj(
     obj: dict, events: list[Event], where: str, default_patient: bool = False
-) -> tuple[AnnotatedDocument, str | None]:
-    """The document one JSONL record describes, with the given events, and its split.
+) -> AnnotatedDocument:
+    """The document one JSONL record describes, split included, with the given events.
 
     ``default_patient`` (sidecar and notes lines) reads an absent or null
     patient_id as the doc_id. Raises CorpusError prefixed with ``where``.
@@ -441,14 +442,11 @@ def document_from_obj(
         Document(obj.get("doc_id"), patient_id, obj.get("text"), obj.get("note_date")),
         events,
         obj.get("annotator_id"),
+        obj.get("split"),
     )
-    problems = document_violations(adoc)
-    split = obj.get("split")
-    if split is not None and split not in SPLIT_NAMES:
-        problems.append(f"unknown split {split!r}")
-    if problems:
+    if problems := document_violations(adoc):
         raise CorpusError(f"{where}: " + "; ".join(problems))
-    return adoc, split
+    return adoc
 
 
 def _events_from_obj(obj: dict, where: str) -> list[Event]:
@@ -479,21 +477,20 @@ def _events_from_obj(obj: dict, where: str) -> list[Event]:
 
 
 def jsonl_documents(text: str, default_patient: bool = False, name: str | None = None):
-    """Yield (document, split) for every corpus line; CorpusError on a bad line or repeated doc_id.
+    """Yield the document on every corpus line; CorpusError on a bad line or repeated doc_id.
 
     ``name``, the file the text came from, starts every error message."""
     seen_ids: set[str] = set()
     for where, obj in jsonl_records(text, name):
-        adoc, split = document_from_obj(obj, _events_from_obj(obj, where), where, default_patient)
+        adoc = document_from_obj(obj, _events_from_obj(obj, where), where, default_patient)
         if adoc.doc_id in seen_ids:
             raise CorpusError(f"{where}: duplicate doc_id {adoc.doc_id!r}")
         seen_ids.add(adoc.doc_id)
-        yield adoc, split
+        yield adoc
 
 
 def corpus_from_jsonl(text: str, name: str | None = None) -> Corpus:
-    pairs = list(jsonl_documents(text, name=name))
-    return Corpus([d for d, _ in pairs], {d.doc_id: s for d, s in pairs if s is not None})
+    return Corpus(list(jsonl_documents(text, name=name)))
 
 
 def read_corpus_jsonl(path) -> Corpus:

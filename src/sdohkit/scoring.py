@@ -28,7 +28,7 @@ so another order changes those float sums in the last digit.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass, field
 
 from .corpus import Corpus, Event
@@ -142,10 +142,15 @@ def corpus_doc_counts(gold: Corpus, pred: Corpus) -> dict[str, DocCounts]:
     """Per-document counts over a whole corpus.
 
     Predictions may omit documents (their gold events all become FN), but a
-    predicted doc_id unknown to the gold corpus is an error.
+    predicted doc_id unknown to the gold corpus, or a doc_id repeated in
+    either corpus, is an error.
     """
     gold_map = gold.doc_map
     pred_map = pred.doc_map
+    for what, corpus, doc_map in (("gold", gold, gold_map), ("predictions", pred, pred_map)):
+        if len(doc_map) != len(corpus):
+            repeated = sorted(k for k, n in Counter(corpus.doc_ids()).items() if n > 1)
+            raise ScoringError(f"repeated doc_ids in {what}: {', '.join(repeated)}")
     unknown = sorted(set(pred_map) - set(gold_map))
     if unknown:
         raise ScoringError(f"predictions reference unknown documents: {', '.join(unknown)}")

@@ -165,7 +165,7 @@ def test_directory_round_trip(tmp_path, schema):
     export_brat_dir(corpus, tmp_path / "brat")
     back, warnings = import_brat_dir(tmp_path / "brat", schema)
     assert warnings == []
-    assert back.split_assignment == corpus.split_assignment
+    assert {d.doc_id: d.split for d in back.docs} == {d.doc_id: d.split for d in corpus.docs}
     assert {d.doc_id: d.document for d in back.docs} == {d.doc_id: d.document for d in corpus.docs}
     assert {d.doc_id: d.events for d in back.docs} == {d.doc_id: d.events for d in corpus.docs}
 
@@ -178,6 +178,14 @@ def test_directory_export_rejects_unsafe_doc_ids(tmp_path, doc_id):
     with pytest.raises(AnnFormatError, match="cannot name a file"):
         export_brat_dir(Corpus([good, bad]), out)
     # Nothing is written, inside the output directory or beside it.
+    assert not list(tmp_path.rglob("*"))
+
+
+def test_directory_export_refuses_an_unknown_split(tmp_path):
+    good = AnnotatedDocument(Document("good", "p", "hello"), split="train")
+    bad = AnnotatedDocument(Document("bad", "p", "hello"), split="dev")
+    with pytest.raises(AnnFormatError, match="^bad: unknown split 'dev'$"):
+        export_brat_dir(Corpus([good, bad]), tmp_path / "out")
     assert not list(tmp_path.rglob("*"))
 
 
@@ -276,7 +284,7 @@ def test_directory_import_sidecar_defaults(tmp_path):
     sidecar = '{"doc_id":"a","patient_id":null,"split":null}\n{"doc_id":"gone","patient_id":"p"}\n'
     corpus, _ = import_brat_dir(_brat_dir(tmp_path / "brat", sidecar))
     assert corpus.docs[0].document == Document("a", "a", "he drinks wine")
-    assert corpus.split_assignment == {}
+    assert [d.split for d in corpus.docs] == [None]
 
 
 def test_directory_import_rejects_empty_text(tmp_path):
@@ -367,4 +375,3 @@ def test_every_accepted_sidecar_imports_a_loadable_corpus(sidecar, texts):
             return
     back = corpus_from_jsonl(corpus_to_jsonl(corpus))
     assert back.docs == corpus.docs
-    assert back.split_assignment == corpus.split_assignment

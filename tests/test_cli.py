@@ -297,7 +297,7 @@ def test_sample_command(tmp_path, capsys, gold_path):
     assert code == 0
     corpus = read_corpus_jsonl(out)
     assert len(corpus.docs) == 10
-    assert sorted(corpus.split_assignment.values()).count("train") == 6
+    assert [d.split for d in corpus.docs].count("train") == 6
 
 
 def test_sample_dedup_per_patient(tmp_path, capsys):
@@ -464,6 +464,28 @@ def test_extract_mock_script_client(tmp_path, capsys, gold_path):
     assert code == 0
     assert "extracted 0 events" in stdout
     assert len(read_corpus_jsonl(pred).docs) == 15
+
+
+def test_extract_no_repair_leaves_a_case_changed_trigger_unfound(tmp_path, capsys, gold_path):
+    trigger = next(d.events[0].trigger.text for d in read_corpus_jsonl(gold_path).docs if d.events)
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"script": {}, "default": trigger.swapcase()}))
+    runs = {}
+    for flags in ((), ("--no-repair",)):
+        out = tmp_path / f"pred{len(flags)}.jsonl"
+        code, _, _ = _run(
+            capsys, "extract", "--corpus", gold_path, "--strategy", "2sqa-base", "--seed", 1,
+            "--client", "script", "--mock-script", script, "--out", out, *flags,
+        )
+        assert code == 0
+        runs[flags] = json.loads(Path(f"{out}.metrics.json").read_text())
+    repaired, unrepaired = runs[()], runs[("--no-repair",)]
+    step1 = repaired["queries"]["step1"]
+    assert repaired["repaired_spans"] > 0
+    not_found = repaired["invalid_rates"]["trigger"]["by_reason"].get("span-not-found", 0)
+    assert not_found + repaired["repaired_spans"] == step1
+    assert unrepaired["repaired_spans"] == 0
+    assert unrepaired["invalid_rates"]["trigger"]["by_reason"]["span-not-found"] == step1
 
 
 def test_extract_http_client_requires_endpoint(tmp_path, capsys, gold_path):
@@ -1063,15 +1085,38 @@ def _snapshot(root: Path) -> dict[str, bytes]:
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
+def _in_dir_inputs(names, in_dir: str) -> set[str]:
+    """The files ``import_brat_dir`` reads: the sidecar and the .txt/.ann
+    files directly in the directory."""
+    return {name for name in names if os.path.dirname(name) == in_dir
+            and (os.path.basename(name) == "metadata.jsonl" or name.endswith((".txt", ".ann")))}
+
+
+def test_brat_import_may_replace_a_file_in_its_in_dir_that_it_does_not_read(tmp_path):
+    """A manifest left in --in-dir by an earlier run is not read, so the
+    command may write its own manifest over it."""
+    _copy_inputs(tmp_path, "")
+    (tmp_path / "out/a.manifest.json").write_bytes(_INPUTS["gold.jsonl"])
+    before = _snapshot(tmp_path)
+    argv = ["brat-import", "--in-dir", tmp_path / "out", "--schema", tmp_path / "schema.json",
+            "--out", tmp_path / "out/a"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([str(a) for a in argv]) == 0
+    after = _snapshot(tmp_path)
+    assert {name for name in after if after[name] != before.get(name)} == {
+        "out/a", "out/a.manifest.json"}
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_no_command_damages_a_file_it_reads(data):
     """Each subcommand, with every output path redrawn from its own inputs and
     a few output names, and an input sometimes replaced by out/a.manifest.json
     (a valid corpus), so that inputs, outputs, metrics and manifests collide,
-    exits 0 to 3 and never prints a traceback. Every input keeps its bytes.
-    After exit 0 every changed file is a listed output or the manifest; after
-    any other exit no manifest is written."""
+    exits 0 to 3 and never prints a traceback. Every input keeps its bytes:
+    each named input file and, for --in-dir, what ``import_brat_dir`` reads
+    (``_in_dir_inputs``). After exit 0 every changed file is a listed output
+    or the manifest; after any other exit no manifest is written."""
     tokens = data.draw(st.sampled_from(_COMMANDS)).split()
     pool = sorted({t for t in tokens if t in _INPUTS} | set(_OUT_POOL))
     at_input = [i for i, t in enumerate(tokens) if _is_input(t)]
@@ -1091,8 +1136,9 @@ def test_no_command_damages_a_file_it_reads(data):
         _copy_inputs(root, "")
         (root / "out/a.manifest.json").write_bytes(_INPUTS["gold.jsonl"])
         before = _snapshot(root)
-        inputs = {name for i in at_input for name in before
-                  if name == tokens[i] or name.startswith(tokens[i] + "/")}
+        inputs = {tokens[i] for i in at_input if tokens[i] in before}
+        inputs |= {name for i in at_input if tokens[i - 1] == "--in-dir"
+                   for name in _in_dir_inputs(before, tokens[i])}
         argv = [str(root / t) if i in at_path else t for i, t in enumerate(tokens)]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)

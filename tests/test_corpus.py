@@ -107,18 +107,24 @@ def test_dedup_many_patients():
 def test_split_corpus():
     corpus = Corpus([_doc(f"d{i}", f"p{i}") for i in range(10)])
     out = split_corpus(corpus, (5, 2, 2), 3)
-    values = list(out.split_assignment.values())
+    values = [d.split for d in out.docs]
     assert values.count("train") == 5
     assert values.count("validation") == 2
     assert values.count("test") == 2
-    assert len(out.split_assignment) == 9  # one doc left unassigned
-    assert split_corpus(corpus, (5, 2, 2), 3).split_assignment == out.split_assignment
+    assert values.count(None) == 1  # one doc left unassigned
+    assert split_corpus(corpus, (5, 2, 2), 3).docs == out.docs
+
+
+def test_split_refuses_an_unknown_name():
+    corpus = split_corpus(Corpus([_doc(f"d{i}", f"p{i}") for i in range(4)]), (2, 1, 1), 0)
+    with pytest.raises(CorpusError, match="^unknown split 'dev'"):
+        corpus.split("dev")
 
 
 def test_split_corpus_single_doc():
     corpus = Corpus([_doc("only", "p")])
     out = split_corpus(corpus, (1, 0, 0), 1)
-    assert out.split_assignment == {"only": "train"}
+    assert [(d.doc_id, d.split) for d in out.docs] == [("only", "train")]
 
 
 def test_split_corpus_overflow():
@@ -138,9 +144,9 @@ def test_split_corpus_refuses_a_negative_size(sizes):
 def test_split_paper_sizes(schema):
     corpus = generate_synthetic(schema, 1260, 42)
     out = split_corpus(corpus, (894, 121, 245), 7)
-    values = list(out.split_assignment.values())
+    values = [d.split for d in out.docs]
     assert (values.count("train"), values.count("validation"), values.count("test")) == (894, 121, 245)
-    assert len(out.split_assignment) == 1260
+    assert None not in values
     assert len(out.split("train")) == 894
 
 
@@ -160,9 +166,7 @@ def test_jsonl_round_trip(schema):
     corpus = split_corpus(corpus, (20, 10, 10), 2)
     text = corpus_to_jsonl(corpus)
     back = corpus_from_jsonl(text)
-    assert back.split_assignment == corpus.split_assignment
-    assert [d.document for d in back.docs] == [d.document for d in corpus.docs]
-    assert [d.events for d in back.docs] == [d.events for d in corpus.docs]
+    assert back.docs == corpus.docs
     assert corpus_to_jsonl(back) == text
 
 
@@ -482,7 +486,7 @@ def _loads_or_corpus_error(text):
         return
     for adoc in corpus.docs:
         assert document_violations(adoc) == []
-    assert set(corpus.split_assignment.values()) <= {"train", "validation", "test"}
+    assert {d.split for d in corpus.docs} <= {None, "train", "validation", "test"}
     assert corpus_from_jsonl(corpus_to_jsonl(corpus)).docs == corpus.docs
 
 

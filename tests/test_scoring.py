@@ -130,6 +130,16 @@ def test_unknown_pred_document_is_error(schema):
         corpus_doc_counts(corpus, stranger)
 
 
+@pytest.mark.parametrize("repeated_in", ["gold", "predictions"])
+def test_a_repeated_doc_id_is_an_error(schema, repeated_in):
+    corpus = generate_synthetic(schema, 4, 1)
+    first = corpus.docs[0]
+    doubled = Corpus([*corpus.docs, AnnotatedDocument(first.document, [])])
+    gold, pred = (doubled, corpus) if repeated_in == "gold" else (corpus, doubled)
+    with pytest.raises(ScoringError, match=f"^repeated doc_ids in {repeated_in}: {first.doc_id}$"):
+        corpus_doc_counts(gold, pred)
+
+
 def test_argument_scoring_rules():
     gold = [_ev("LivingArrangement", 0, 5, Status="current", Type="family")]
     pred_match = [_ev("LivingArrangement", 0, 5, Status="current", Type="family")]
