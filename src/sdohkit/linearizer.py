@@ -25,6 +25,8 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import sub
 
 from .corpus import Event, TextSpan
 from .schema import Schema, validate_event
@@ -209,42 +211,42 @@ def _normalize(s: str) -> str:
     return collapsed.strip(_STRIP_CHARS)
 
 
-def _char_masks(pattern: str) -> dict[str, int]:
-    """Bit i of masks[ch] is set where pattern[i] == ch."""
-    masks: dict[str, int] = {}
-    for i, ch in enumerate(pattern):
-        masks[ch] = masks.get(ch, 0) | (1 << i)
-    return masks
+def _myers_distances(pattern: str, text: str, anchored: bool) -> list[int]:
+    """Edit distances of ``pattern`` at every end of ``text``.
 
-
-def _myers_distances(masks: dict[str, int], m: int, text: str, anchored: bool) -> list[int]:
-    """Edit distances of a length-m pattern at every end of ``text``.
-
-    Myers' bit-vector algorithm (Myers 1999, J. ACM 46(3), in Hyyrö's
-    formulation) with Python ints as m-bit column vectors: entry j-1 is
-    lev(pattern, text[:j]) when ``anchored``, else the smallest
-    lev(pattern, text[s:j]) over all starts s.
+    Myers' bit-vector algorithm (Myers 1999, J. ACM 46(3), in Hyyrö's form),
+    transposed: each pattern character steps a DP row over the text, held in
+    Python ints with one bit per text position. Entry j-1 is lev(pattern,
+    text[:j]) when ``anchored``, else min over starts s of lev(pattern, text[s:j]).
     """
-    ones = (1 << m) - 1
-    high = 1 << (m - 1)
-    carry = int(anchored)  # row 0 of the DP: j when anchored, 0 when any start is free
-    pv, mv, score = ones, 0, m
-    out = []
-    for ch in text:
+    n = len(text)
+    if not n:
+        return []
+    ones = (1 << n) - 1
+    # bit j of masks[ch] is set where text[j] == ch: the reversed text as binary digits
+    backwards = text[::-1]
+    chars = set(text)
+    digits = dict.fromkeys(map(ord, chars), "0")
+    masks: dict[str, int] = {}
+    for ch in chars.intersection(pattern):
+        digits[ord(ch)] = "1"
+        masks[ch] = int(backwards.translate(digits), 2)
+        digits[ord(ch)] = "0"
+    # pv and mv mark a row's +1 and -1 steps along the text. Row 0 is j when
+    # anchored, else 0; column 0 is i, so each new row carries +1 in at bit 0.
+    pv, mv = ones if anchored else 0, 0
+    for ch in pattern:
         eq = masks.get(ch, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | ~(xh | pv)
         mh = pv & xh
-        if ph & high:
-            score += 1
-        elif mh & high:
-            score -= 1
-        ph = (ph << 1) | carry
+        ph = (ph << 1) | 1
         pv = ((mh << 1) | ~(xv | ph)) & ones
         mv = ph & xv
-        out.append(score)
-    return out
+    # the last row is m plus the prefix sums of its steps (b"1" - b"0" == 1)
+    plus, minus = (format(v, f"0{n}b")[::-1].encode() for v in (pv, mv))
+    return list(accumulate(map(sub, plus, minus), initial=len(pattern)))[1:]
 
 
 def repair_span(claimed: str, doc_text: str, max_norm_dist: float = 0.2) -> TextSpan | None:
@@ -264,15 +266,18 @@ def repair_span(claimed: str, doc_text: str, max_norm_dist: float = 0.2) -> Text
     the best distance ending at each position, and only ends within the
     largest allowed distance get a second, anchored pass of the reversed
     claim over the reversed window before them, which gives the distance
-    from every start. A note with no such end, the usual miss, costs
-    O(n * ceil(m / w)) big-int operations for an n-char note, an m-char
-    claim and w-bit machine words.
+    from every start. Each pass steps once per claim character, so a miss
+    (no such end) costs O(m * ceil(n / w)) big-int operations plus one O(n)
+    pass for an n-char note, an m-char claim and w-bit machine words.
     """
     if not claimed:
         return None
 
     norm_claimed = _normalize(claimed)
-    if norm_claimed:
+    doc_fold = doc_text.casefold()
+    # Each window normalizes to a substring of this, as str.split and the regex
+    # \S agree on whitespace and casefold neither creates nor changes any.
+    if norm_claimed and norm_claimed in " ".join(doc_fold.split()):
         k = len(norm_claimed.split())
         tokens = [(m.start(), m.end()) for m in re.finditer(r"\S+", doc_text)]
         for i in range(len(tokens) - k + 1):
@@ -289,45 +294,43 @@ def repair_span(claimed: str, doc_text: str, max_norm_dist: float = 0.2) -> Text
     L = len(claimed)
     min_len = max(1, int(L * 0.5))
     max_len = int(L * 1.5 + 0.999)
-    doc_fold = doc_text.casefold()
     # casefolding may change string length (rare); fall back to raw text so
     # offsets always index the original document
     if len(doc_fold) != len(doc_text):
         doc_fold = doc_text
         c = claimed
 
-    # A candidate of each length may have distance int(max_norm_dist * max(length, L)),
-    # monotone in length, so the largest bound is at one end of [L, max_len].
-    k_max = max(int(max_norm_dist * L), int(max_norm_dist * max_len))
-    # The best distance ending at j bounds every candidate ending there from below.
-    ends = sorted(
-        (d, j)
-        for j, d in enumerate(_myers_distances(_char_masks(c), len(c), doc_fold, False), 1)
-        if d <= k_max
-    )
-    if not ends:
-        return None
-    reversed_masks = _char_masks(c[::-1])
-    best = k_max
-    ties: list[tuple[int, int]] = []  # (start, length) at distance best
-    for d_end, j in ends:
-        if d_end > best:
-            break
-        window = doc_fold[max(0, j - max_len) : j][::-1]
-        for length, d in enumerate(_myers_distances(reversed_masks, len(c), window, True), 1):
-            if length < min_len or d > best or d > int(max_norm_dist * max(length, L)):
-                continue
-            if d < best:
-                best, ties = d, []
-            ties.append((j - length, length))
-    if not ties:
-        return None
-
     def word_aligned(start: int, length: int) -> int:
         end = start + length
         left = doc_text[start].isalnum() and (start == 0 or not doc_text[start - 1].isalnum())
         right = doc_text[end - 1].isalnum() and (end == len(doc_text) or not doc_text[end].isalnum())
         return int(left) + int(right)
+
+    # A candidate of each length may have distance int(max_norm_dist * max(length, L)),
+    # monotone in length, so the largest bound is at one end of [L, max_len].
+    k_max = max(int(max_norm_dist * L), int(max_norm_dist * max_len))
+    # The best distance ending at j bounds every candidate ending there from below.
+    distances = _myers_distances(c, doc_fold, False)
+    ends = sorted((d, j) for j, d in enumerate(distances, 1) if d <= k_max)
+    best = k_max
+    ties: list[tuple[int, int]] = []  # (start, length) at distance best
+    aligned = len(doc_text)  # smallest start of a tie at best aligned at both edges
+    for d_end, j in ends:
+        # At d_end == best no later end can beat best, and every candidate
+        # ending at j starts at j - max_len or later, after an aligned tie.
+        if d_end > best or (d_end == best and j - max_len > aligned):
+            break
+        window = doc_fold[max(0, j - max_len) : j][::-1]
+        for length, d in enumerate(_myers_distances(c[::-1], window, True), 1):
+            if length < min_len or d > best or d > int(max_norm_dist * max(length, L)):
+                continue
+            if d < best:
+                best, ties, aligned = d, [], len(doc_text)
+            ties.append((j - length, length))
+            if word_aligned(j - length, length) == 2:
+                aligned = min(aligned, j - length)
+    if not ties:
+        return None
 
     start, length = min(
         ties, key=lambda t: (-word_aligned(*t), t[0], abs(t[1] - L), t[1])

@@ -2,8 +2,8 @@
 
 The matching oracle enumerates one-to-one matchings exhaustively, so it is
 only usable on small documents; the scorer must agree with it on randomly
-generated instances. The span-repair, bootstrap, F1, per-document scoring,
-standoff parsing and few-shot sampling references are the straightforward
+generated instances. The span-repair, edit-distance, bootstrap, F1,
+per-document scoring, standoff parsing and few-shot sampling references are the straightforward
 implementations the library's faster or shorter ones must match. ``loopback_endpoint`` is a chat endpoint on
 127.0.0.1 for tests of the real HTTP transport.
 """
@@ -439,6 +439,18 @@ def repair_span_reference(claimed: str, doc_text: str, max_norm_dist: float = 0.
         ties, key=lambda t: (-word_aligned(*t), t[0], abs(t[1] - L), t[1])
     )
     return TextSpan(start, start + length, doc_text[start : start + length])
+
+
+def edit_distances_reference(pattern: str, text: str, anchored: bool) -> list[int]:
+    """The last row of the plain O(mn) Levenshtein table of ``pattern``
+    against ``text``: entry j-1 is lev(pattern, text[:j]) when ``anchored``,
+    else the smallest lev(pattern, text[s:j]) over all starts s."""
+    row = list(range(len(text) + 1)) if anchored else [0] * (len(text) + 1)
+    for i, a in enumerate(pattern, 1):
+        prev, row = row, [i]
+        for j, b in enumerate(text, 1):
+            row.append(min(prev[j] + 1, row[j - 1] + 1, prev[j - 1] + (a != b)))
+    return row[1:]
 
 
 # --- per-document scoring reference --------------------------------------------

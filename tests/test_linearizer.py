@@ -1,8 +1,11 @@
 import random
+import re
 import string
+import sys
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdohkit import linearizer
@@ -18,7 +21,7 @@ from sdohkit.qa import RunMetrics
 from sdohkit.schema import load_schema
 from sdohkit.synth import generate_synthetic
 
-from helpers import repair_span_reference
+from helpers import edit_distances_reference, repair_span_reference
 
 MINI = load_schema(
     """
@@ -228,6 +231,7 @@ def test_repair_one_edit():
 def test_repair_absent_returns_none():
     assert repair_span("unemployed", "he smokes cigarettes daily") is None
     assert repair_span("", "anything") is None
+    assert repair_span("abc", "", 1.0) is None
 
 
 def test_repair_threshold():
@@ -291,7 +295,74 @@ def test_repair_long_claim_and_long_miss():
     assert repair_span(claim, note) == expected
 
 
-_REPAIR_ALPHABET = "abAB .,-ßİ"
+@pytest.mark.parametrize(
+    "note_len, claim_len, expected_end",
+    [(4200, 280, 278), (8400, 560, 558)],
+)
+def test_repair_periodic_note_is_fast(note_len, claim_len, expected_end):
+    # every end of a periodic note ties within k_max; once an aligned tie is
+    # found, the ends past it are skipped
+    note = "smokes daily. " * (note_len // 14)
+    claim = ("smokes daily. " * (claim_len // 14))[:-3] + "zzq"
+    assert (len(note), len(claim)) == (note_len, claim_len)
+    t0 = time.perf_counter()
+    span = repair_span(claim, note)
+    assert time.perf_counter() - t0 < 1.0
+    assert span == TextSpan(0, expected_end, note[:expected_end])
+
+
+@pytest.mark.parametrize(
+    "claimed, doc, max_norm_dist, expected",
+    [
+        # An aligned tie is found first, at a start left of the answer, from
+        # an end whose best candidate is too short for its own bound. A later
+        # end's lower bound is below best and it holds the answer, so no end
+        # may be skipped while d_end < best.
+        ("ecegefdac", "ecxxbgaebfdac  xxx yy yxx y yecyxagefadac yx xyyyxyy", 0.4,
+         TextSpan(29, 41, "ecyxagefadac")),
+        ("a aba a", " a a  b bab a  babbaa", 0.4, TextSpan(12, 20, "a  babba")),
+    ],
+)
+def test_repair_prune_skips_only_losing_ends(claimed, doc, max_norm_dist, expected):
+    assert repair_span(claimed, doc, max_norm_dist) == expected
+    assert repair_span_reference(claimed, doc, max_norm_dist) == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.text(alphabet="abcß İ\u00a0", max_size=80),
+    st.text(alphabet="abcß İ\u00a0", max_size=100),
+    st.booleans(),
+)
+@example("", "", False)
+@example("abc", "", True)
+@example("abcdef", "abc", False)
+@example("abcdef", "abc", True)
+@example("ab" * 40, "ba" * 45, False)
+@example("ab" * 40, "ba" * 45, True)
+def test_myers_distances_match_plain_dp(pattern, text, anchored):
+    assert linearizer._myers_distances(pattern, text, anchored) == edit_distances_reference(
+        pattern, text, anchored
+    )
+
+
+def test_stage_one_prefilter_unicode_facts():
+    # repair_span skips the word-window loop unless the claim occurs in the
+    # whole note's normalization; that is exact only while these hold for
+    # every code point in this interpreter's Unicode database
+    not_space = re.compile(r"\S")
+    for cp in range(sys.maxunicode + 1):
+        ch = chr(cp)
+        is_space = not ch.split()
+        assert is_space == (not_space.match(ch) is None), hex(cp)
+        folded = ch.casefold()
+        if is_space:
+            assert folded == ch, hex(cp)
+        else:
+            assert not folded or folded.split() == [folded], hex(cp)
+
+
+_REPAIR_ALPHABET = "abAB .,-ßİ\u00a0\t\n"
 
 
 @settings(max_examples=1000, deadline=None)
