@@ -294,11 +294,11 @@ def repair_span(claimed: str, doc_text: str, max_norm_dist: float = 0.2) -> Text
     L = len(claimed)
     min_len = max(1, int(L * 0.5))
     max_len = int(L * 1.5 + 0.999)
-    # casefolding may change string length (rare); fall back to raw text so
-    # offsets always index the original document
+    # casefolding may change string length (rare: "ß", "ﬁ"); then fold only the
+    # characters that fold to one, so offsets always index the original document
     if len(doc_fold) != len(doc_text):
-        doc_fold = doc_text
-        c = claimed
+        doc_fold, c = ("".join(ch.casefold() if len(ch.casefold()) == 1 else ch for ch in t)
+                       for t in (doc_text, claimed))
 
     def word_aligned(start: int, length: int) -> int:
         end = start + length

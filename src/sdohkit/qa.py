@@ -286,14 +286,15 @@ class FewShotPool:
     input order). ``by_count[event_type]`` holds the docs with zero, one and
     several events of the type; ``by_argument[(event_type, arg_name)]``
     holds the docs with an event of the type that has the argument, and
-    those with one that lacks it (a doc can be in both). Each class lists
-    (doc, the doc's events of the type) pairs in doc_id order.
+    those with one that lacks it (a doc can be in both), or None in place of
+    the latter for a required argument, whose examples are all positive.
+    Each class lists (doc, the doc's events of the type) pairs in doc_id order.
     """
 
     def __init__(self, train: Corpus, schema: Schema):
         docs = sorted(train.docs, key=lambda d: d.doc_id)
         self.by_count: dict[str, tuple[list[_Typed], list[_Typed], list[_Typed]]] = {}
-        self.by_argument: dict[tuple[str, str], tuple[list[_Typed], list[_Typed]]] = {}
+        self.by_argument: dict[tuple[str, str], tuple[list[_Typed], list[_Typed] | None]] = {}
         for et in schema.event_types:
             # A tuple, so that the many docs without the type share the empty one.
             typed = [(d, tuple(_events_of_type(d, et.name))) for d in docs]
@@ -301,31 +302,32 @@ class FewShotPool:
             for item in typed:
                 buckets[min(len(item[1]), 2)].append(item)
             self.by_count[et.name] = buckets
-            for arg in (a.name for a in et.arguments):
-                has = [item for item in typed if any(arg in e.arguments for e in item[1])]
-                lacks = [item for item in typed if any(arg not in e.arguments for e in item[1])]
-                self.by_argument[(et.name, arg)] = (has, lacks)
+            for adef in et.arguments:
+                has = [item for item in typed if any(adef.name in e.arguments for e in item[1])]
+                lacks = None if adef.required else [
+                    item for item in typed if any(adef.name not in e.arguments for e in item[1])]
+                self.by_argument[(et.name, adef.name)] = (has, lacks)
 
 
-def sample_fewshot(pool: FewShotPool, target, kind: str, seed) -> list[FewShotExample]:
+def sample_fewshot(pool: FewShotPool, target, seed) -> list[FewShotExample]:
     """Draw three constraint-satisfying examples from a pool's classes.
 
-    ``kind="trigger"`` (target: event type): one note with zero, one with
+    An event type (a ``str`` target) gets one note with zero, one with
     exactly one, and one with more than one trigger of the type, in that
-    order. ``kind="required-arg"`` (target: (event type, argument)): three
-    notes with an event carrying the argument. ``kind="optional-arg"``: two
-    such positives plus one note whose event of the type lacks the argument,
-    answered "none". Selection is uniform within each class per seed: the
-    draws come from ``random.Random(f"fewshot:{kind}:{target}:{seed}")`` over
-    classes in doc_id order. A target outside the pool's schema, or a class
-    with too few notes, raises ``FewShotError``.
+    order. An (event type, argument) target gets three notes with an event
+    carrying the argument or, for an optional argument, two such positives
+    plus one note whose event of the type lacks the argument, answered
+    "none". Each class is drawn from uniformly, in doc_id order, by
+    ``random.Random(f"fewshot:{kind}:{target}:{seed}")``, ``kind`` being
+    "trigger", "required-arg" or "optional-arg". A target outside the pool's
+    schema, or a class with too few notes, raises ``FewShotError``.
     """
-    rng = random.Random(f"fewshot:{kind}:{target}:{seed}")
-    if kind not in ("trigger", "required-arg", "optional-arg"):
-        raise ValueError(f"unknown few-shot kind {kind!r}")
-    classes = (pool.by_count if kind == "trigger" else pool.by_argument).get(target)
+    by_type = isinstance(target, str)
+    classes = (pool.by_count if by_type else pool.by_argument).get(target)
     if classes is None:
         raise FewShotError(f"few-shot target {target!r} is not in the pool's schema")
+    kind = "trigger" if by_type else "required-arg" if classes[1] is None else "optional-arg"
+    rng = random.Random(f"fewshot:{kind}:{target}:{seed}")
 
     if kind == "trigger":
         examples = []
@@ -354,7 +356,7 @@ def sample_fewshot(pool: FewShotPool, target, kind: str, seed) -> list[FewShotEx
         chosen = rng.sample(positives, 3)
         return [pick_example(item, True) for item in chosen]
 
-    if not negatives:
+    if not negatives:  # an optional argument's class, so never None here
         raise FewShotError(f"class negative empty for {event_type}.{arg_name}")
     neg = rng.choice(negatives)
     pos_pool = [item for item in positives if item[0].doc_id != neg[0].doc_id]
@@ -490,11 +492,10 @@ class GoldOracleClient:
 class NonsenseClient:
     """Returns the same ungroundable garbage for every prompt."""
 
-    def __init__(self, text: str = "zzqx gibberish ]] output [[ vvk"):
-        self.text = text
+    TEXT = "zzqx gibberish ]] output [[ vvk"
 
     def complete(self, messages: list[ChatMessage]) -> Completion:
-        return Completion(self.text)
+        return Completion(self.TEXT)
 
 
 # --- pipeline -------------------------------------------------------------------
@@ -574,10 +575,10 @@ class _Plan:
     fewshot: FewShotPool | None  # None when the strategy uses no worked examples
     examples: list[AnnotatedDocument]  # the single-step illustrations
 
-    def _fewshot(self, doc: Document, target, kind: str) -> list[FewShotExample]:
+    def _fewshot(self, doc: Document, target) -> list[FewShotExample]:
         if self.fewshot is None:
             return []
-        return sample_fewshot(self.fewshot, target, kind, f"{self.seed}:{doc.doc_id}")
+        return sample_fewshot(self.fewshot, target, f"{self.seed}:{doc.doc_id}")
 
     def event_step(self, doc: Document, client, tally: RunMetrics) -> list[Event]:
         rng = random.Random(f"event-example:{self.seed}:{doc.doc_id}")
@@ -594,7 +595,7 @@ class _Plan:
     def two_step(self, doc: Document, client, tally: RunMetrics) -> list[Event]:
         events: list[Event] = []
         for et in self.schema.event_types:
-            examples = self._fewshot(doc, et.name, "trigger")
+            examples = self._fewshot(doc, et.name)
             bundle = build_trigger_prompt(doc.text, et.name, self.guide.get(et.name), examples)
             tally.queries_step1 += 1
             text = _ask(client, bundle, tally)
@@ -606,8 +607,7 @@ class _Plan:
             for trigger in triggers:
                 arguments: dict[str, str] = {}
                 for adef in et.arguments:
-                    kind = "required-arg" if adef.required else "optional-arg"
-                    examples = self._fewshot(doc, (et.name, adef.name), kind)
+                    examples = self._fewshot(doc, (et.name, adef.name))
                     guide_text = self.guide.get(f"{et.name}.{adef.name}")
                     bundle = build_argument_prompt(
                         doc.text, et.name, trigger, adef, self.schema, guide_text, examples

@@ -384,11 +384,11 @@ def repair_span_reference(claimed: str, doc_text: str, max_norm_dist: float = 0.
     min_len = max(1, int(L * 0.5))
     max_len = int(L * 1.5 + 0.999)
     doc_fold = doc_text.casefold()
-    # casefolding may change string length (rare); fall back to raw text so
-    # offsets always index the original document
+    # casefolding may change string length (rare); then fold only the characters
+    # that fold to one, so offsets always index the original document
     if len(doc_fold) != len(doc_text):
-        doc_fold = doc_text
-        c = claimed
+        doc_fold = "".join(ch.casefold() if len(ch.casefold()) == 1 else ch for ch in doc_text)
+        c = "".join(ch.casefold() if len(ch.casefold()) == 1 else ch for ch in claimed)
 
     claim_count: dict[str, int] = {}
     for ch in c:

@@ -291,20 +291,20 @@ def test_criterion_8_fewshot_constraints(schema):
     checked = 0
     for seed in range(100):
         for et in schema.event_types:
-            fs = sample_fewshot(pool, et.name, "trigger", seed)
+            fs = sample_fewshot(pool, et.name, seed)
             counts = [n_of(ex.text, et.name) for ex in fs]
             assert counts[0] == 0 and counts[1] == 1 and counts[2] > 1
             checked += 1
             for adef in et.arguments:
                 if adef.required:
-                    fs = sample_fewshot(pool, (et.name, adef.name), "required-arg", seed)
+                    fs = sample_fewshot(pool, (et.name, adef.name), seed)
                     assert len(fs) == 3
                     assert len({ex.text for ex in fs}) == 3
                     for ex in fs:
                         assert has_arg(ex.text, et.name, adef.name, True)
                         assert ex.answer in adef.subtypes
                 else:
-                    fs = sample_fewshot(pool, (et.name, adef.name), "optional-arg", seed)
+                    fs = sample_fewshot(pool, (et.name, adef.name), seed)
                     answers = [ex.answer for ex in fs]
                     assert answers.count("none") == 1
                     for ex in fs:

@@ -1000,6 +1000,37 @@ def test_every_command_accepts_its_valid_inputs():
         assert _run_in_copy(argv) == (0, ""), argv
 
 
+# The encounter line of every note in the valid inputs: a line of text unique to its note.
+_ENCOUNTER_LINES = {json.loads(line)["text"].splitlines()[1]
+                    for name in ("gold.jsonl", "pred.jsonl", "train.jsonl")
+                    for line in _INPUTS[name].decode().splitlines()}
+
+
+@pytest.mark.parametrize("argv", _COMMANDS)
+def test_no_command_prints_a_line_of_a_note(tmp_path, argv):
+    assert "--unsafe-show-text" not in argv
+    assert all(line.startswith("Encounter ") for line in _ENCOUNTER_LINES)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(_copy_inputs(tmp_path, argv)) == 0
+    printed = out.getvalue() + err.getvalue()
+    assert [line for line in _ENCOUNTER_LINES if line in printed] == []
+
+
+def test_sections_prints_headings_only_with_unsafe_show_text(tmp_path, capsys):
+    notes = tmp_path / "notes.jsonl"
+    notes.write_text(jsonl_text([
+        {"doc_id": "n1", "text": "HPI:\nfever\nSocial History:\nlives with mom"},
+        {"doc_id": "n2", "text": "no headings here"},
+    ]))
+    argv = ["sections", "--notes", notes, "--emit", "sections", "--out", tmp_path / "s.jsonl"]
+    assert _run(capsys, *argv) == (0, "processed 2 notes, 1 with a social-history section\n", "")
+    code, stdout, err = _run(capsys, *argv, "--unsafe-show-text")
+    assert (code, err) == (0, "")
+    assert stdout.splitlines() == [
+        "n1: Social History:", "processed 2 notes, 1 with a social-history section"]
+
+
 @pytest.mark.parametrize("argv", _COMMANDS)
 def test_every_command_writes_a_manifest_of_the_files_it_read_and_wrote(tmp_path, argv):
     paths = _copy_inputs(tmp_path, argv)

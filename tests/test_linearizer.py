@@ -274,6 +274,9 @@ def test_repair_result_text_matches_document(schema):
         ("", "", None),
         ("", "anything", None),
         ("abc", "", None),
+        # one "ß" or "ﬁ" elsewhere in the note leaves the rest of it matched casefolded
+        *[("SMOKES CIGARETES", f"Social history: he smokes cigarettes daily and drinks beer.{tail}",
+           TextSpan(19, 36, "smokes cigarettes")) for tail in ("", " Straße", " ofﬁce")],
     ],
 )
 def test_repair_contract_edges(claimed, doc, expected):

@@ -115,7 +115,7 @@ def test_trigger_prompt_guide(corpus, guide):
 
 
 def test_trigger_prompt_fewshot_message_count(corpus, pool, guide):
-    fewshot = sample_fewshot(pool, "Alcohol", "trigger", 7)
+    fewshot = sample_fewshot(pool, "Alcohol", 7)
     text = corpus.docs[0].document.text
     bundle = build_trigger_prompt(text, "Alcohol", guide["Alcohol"], fewshot)
     assert len(bundle.messages) == 8
@@ -124,7 +124,7 @@ def test_trigger_prompt_fewshot_message_count(corpus, pool, guide):
 
 
 def test_trigger_fewshot_answers_parse_as_trigger_lists(pool, guide, corpus):
-    fewshot = sample_fewshot(pool, "LivingArrangement", "trigger", 3)
+    fewshot = sample_fewshot(pool, "LivingArrangement", 3)
     for ex in fewshot:
         spans, bad, _ = parse_trigger_response(ex.answer, ex.text, repair=False)
         assert bad == []
@@ -181,8 +181,8 @@ def test_step_prompts_render_exactly_the_guide_and_examples_given(schema, corpus
     text = corpus.docs[0].document.text
     status = schema.event_type("Alcohol").argument("Status")
     trigger = TextSpan(0, 3, text[:3])
-    trig_shots = sample_fewshot(pool, "Alcohol", "trigger", 1)
-    arg_shots = sample_fewshot(pool, ("Alcohol", "Status"), "required-arg", 1)
+    trig_shots = sample_fewshot(pool, "Alcohol", 1)
+    arg_shots = sample_fewshot(pool, ("Alcohol", "Status"), 1)
     builders = [
         lambda *a: build_trigger_prompt(text, "Alcohol", *a),
         lambda *a: build_argument_prompt(text, "Alcohol", trigger, status, schema, *a),
@@ -204,7 +204,7 @@ def test_step_prompts_render_exactly_the_guide_and_examples_given(schema, corpus
 def test_argument_prompt_rejects_example_without_trigger(schema, corpus, pool):
     text = corpus.docs[0].document.text
     status = schema.event_type("Alcohol").argument("Status")
-    untriggered = sample_fewshot(pool, "Alcohol", "trigger", 1)
+    untriggered = sample_fewshot(pool, "Alcohol", 1)
     with pytest.raises(PromptError, match="^argument few-shot examples must carry a trigger$"):
         build_argument_prompt(
             text, "Alcohol", TextSpan(0, 3, text[:3]), status, schema, None, untriggered
@@ -325,7 +325,7 @@ def test_parse_argument_response_substring_safe():
 # --- few-shot sampling --------------------------------------------------------------
 
 def test_sample_fewshot_trigger_constraints(train, pool):
-    fs = sample_fewshot(pool, "Employment", "trigger", 11)
+    fs = sample_fewshot(pool, "Employment", 11)
     assert len(fs) == 3
     by_text = {d.document.text: d for d in train.docs}
     counts = [
@@ -336,7 +336,7 @@ def test_sample_fewshot_trigger_constraints(train, pool):
 
 
 def test_sample_fewshot_required_arg(pool, schema):
-    fs = sample_fewshot(pool, ("Employment", "Status"), "required-arg", 13)
+    fs = sample_fewshot(pool, ("Employment", "Status"), 13)
     assert len(fs) == 3
     assert len({ex.text for ex in fs}) == 3
     subtypes = schema.event_type("Employment").argument("Status").subtypes
@@ -346,7 +346,7 @@ def test_sample_fewshot_required_arg(pool, schema):
 
 
 def test_sample_fewshot_optional_arg(pool):
-    fs = sample_fewshot(pool, ("LivingArrangement", "Residence"), "optional-arg", 17)
+    fs = sample_fewshot(pool, ("LivingArrangement", "Residence"), 17)
     assert len(fs) == 3
     answers = [ex.answer for ex in fs]
     assert answers.count("none") == 1
@@ -354,15 +354,15 @@ def test_sample_fewshot_optional_arg(pool):
 
 
 def test_sample_fewshot_determinism(pool):
-    a = sample_fewshot(pool, "Drug", "trigger", 19)
-    b = sample_fewshot(pool, "Drug", "trigger", 19)
+    a = sample_fewshot(pool, "Drug", 19)
+    b = sample_fewshot(pool, "Drug", 19)
     assert a == b
 
 
 def test_sample_fewshot_empty_class(schema):
     thin = generate_synthetic(schema, 0, 1)
     with pytest.raises(FewShotError, match="zero-triggers"):
-        sample_fewshot(FewShotPool(thin, schema), "Alcohol", "trigger", 1)
+        sample_fewshot(FewShotPool(thin, schema), "Alcohol", 1)
 
 
 def test_sample_fewshot_missing_many_class(schema):
@@ -370,17 +370,16 @@ def test_sample_fewshot_missing_many_class(schema):
     # keep only docs with at most one Tobacco event
     thin = Corpus([d for d in docs if sum(e.event_type == "Tobacco" for e in d.events) <= 1])
     with pytest.raises(FewShotError, match="many-triggers"):
-        sample_fewshot(FewShotPool(thin, schema), "Tobacco", "trigger", 1)
+        sample_fewshot(FewShotPool(thin, schema), "Tobacco", 1)
 
 
 def test_sample_fewshot_rejects_a_target_outside_the_schema(pool):
     with pytest.raises(FewShotError, match="^few-shot target 'Food' is not in the pool's schema$"):
-        sample_fewshot(pool, "Food", "trigger", 1)
-    for kind in ("required-arg", "optional-arg"):
-        with pytest.raises(FewShotError, match=r"^few-shot target \('Alcohol', 'Food'\) is not"):
-            sample_fewshot(pool, ("Alcohol", "Food"), kind, 1)
+        sample_fewshot(pool, "Food", 1)
+    with pytest.raises(FewShotError, match=r"^few-shot target \('Alcohol', 'Food'\) is not"):
+        sample_fewshot(pool, ("Alcohol", "Food"), 1)
     with pytest.raises(FewShotError, match="target 'Status' is not"):  # an argument, not a type
-        sample_fewshot(pool, "Status", "trigger", 1)
+        sample_fewshot(pool, "Status", 1)
 
 
 def test_fewshot_pool_is_not_changed_by_sampling(train, schema):
@@ -391,16 +390,30 @@ def test_fewshot_pool_is_not_changed_by_sampling(train, schema):
                                      for a in et.arguments}
     for seed in range(3):
         for et in schema.event_types:
-            sample_fewshot(pool, et.name, "trigger", seed)
+            sample_fewshot(pool, et.name, seed)
             for adef in et.arguments:
-                for kind in ("required-arg", "optional-arg"):
-                    _fewshot_outcome(sample_fewshot, pool, (et.name, adef.name), kind, seed)
+                _fewshot_outcome(lambda: sample_fewshot(pool, (et.name, adef.name), seed))
     assert (pool.by_count, pool.by_argument) == snapshot
 
 
-def _fewshot_outcome(sample, source, target, kind, seed):
+def test_fewshot_pool_holds_a_negative_class_only_for_optional_arguments(pool, schema):
+    required = {(et.name, a.name): a.required for et in schema.event_types for a in et.arguments}
+    assert sum(required.values()) == 11 and len(required) == 12
+    has_no_negatives = {target: lacks is None for target, (_, lacks) in pool.by_argument.items()}
+    assert has_no_negatives == required
+
+
+def _kind(schema: Schema, target) -> str:
+    """The class a target's few-shot set is drawn under, as the schema fixes it."""
+    if isinstance(target, str):
+        return "trigger"
+    required = schema.event_type(target[0]).argument(target[1]).required
+    return "required-arg" if required else "optional-arg"
+
+
+def _fewshot_outcome(draw):
     try:
-        return sample(source, target, kind, seed)
+        return draw()
     except FewShotError as exc:
         return f"FewShotError: {exc}"
 
@@ -427,17 +440,14 @@ _fewshot_docs = st.lists(
     ),
     max_size=9,
 )
-_fewshot_query = st.one_of(
-    st.tuples(st.sampled_from(["A", "B", "C"]), st.just("trigger")),
-    st.tuples(
-        st.tuples(st.sampled_from(["A", "B", "C"]), st.sampled_from(["x", "y", "z"])),
-        st.sampled_from(["required-arg", "optional-arg"]),
-    ),
+_fewshot_target = st.one_of(
+    st.sampled_from(["A", "B", "C"]),
+    st.tuples(st.sampled_from(["A", "B", "C"]), st.sampled_from(["x", "y", "z"])),
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(_fewshot_docs, st.lists(st.tuples(_fewshot_query, st.integers(0, 50)), min_size=1, max_size=12))
+@given(_fewshot_docs, st.lists(st.tuples(_fewshot_target, st.integers(0, 50)), min_size=1, max_size=12))
 def test_sample_fewshot_matches_reference(raw_docs, queries):
     docs = []
     for i, (doc_id, raw_events) in enumerate(raw_docs):
@@ -445,9 +455,10 @@ def test_sample_fewshot_matches_reference(raw_docs, queries):
         docs.append(AnnotatedDocument(Document(doc_id, "p", f"note {i}"), events))
     train = Corpus(docs)
     pool = FewShotPool(train, _fewshot_schema)  # one pool serves every query, as in a run
-    for (target, kind), seed in queries:
-        want = _fewshot_outcome(sample_fewshot_reference, train, target, kind, seed)
-        assert _fewshot_outcome(sample_fewshot, pool, target, kind, seed) == want
+    for target, seed in queries:
+        kind = _kind(_fewshot_schema, target)
+        want = _fewshot_outcome(lambda: sample_fewshot_reference(train, target, kind, seed))
+        assert _fewshot_outcome(lambda: sample_fewshot(pool, target, seed)) == want
 
 
 # --- guide files -----------------------------------------------------------------------
@@ -797,7 +808,8 @@ def test_pipeline_raises_at_the_query_whose_class_is_empty(schema, corpus, guide
         return str(exc.value), client.calls
 
     got = run()
-    monkeypatch.setattr(qa, "sample_fewshot", lambda pool, *a: sample_fewshot_reference(thin, *a))
+    monkeypatch.setattr(qa, "sample_fewshot", lambda pool, target, seed: sample_fewshot_reference(
+        thin, target, _kind(schema, target), seed))
     assert got == run()
     assert got[0] == "class many-triggers empty for event type Tobacco"
     assert got[1] > 0  # Alcohol and Drug were asked first
