@@ -37,6 +37,7 @@ _EVENT_RE = re.compile(r"(?P<type>\S+) \[(?P<trig>[^\[\]]*)\](?P<rest>.*)", re.D
 _CLAUSE_RE = re.compile(r"(?P<name>\S+) = (?P<subtype>.+) \[(?P<trig>[^\[\]]*)\]", re.DOTALL)
 
 _STRIP_CHARS = string.punctuation + string.whitespace
+_BLOCK = (1 << 64) - 1
 
 
 class SerializeError(ValueError):
@@ -211,27 +212,30 @@ def _normalize(s: str) -> str:
     return collapsed.strip(_STRIP_CHARS)
 
 
-def _myers_distances(pattern: str, text: str, anchored: bool) -> list[int]:
-    """Edit distances of ``pattern`` at every end of ``text``.
+def _myers_distances(pattern: str, text: str, anchored: bool, k: int) -> list[tuple[int, int]]:
+    """(end, distance) for each end of ``text`` where ``pattern`` is within ``k``.
 
     Myers' bit-vector algorithm (Myers 1999, J. ACM 46(3), in Hyyrö's form),
     transposed: each pattern character steps a DP row over the text, held in
-    Python ints with one bit per text position. Entry j-1 is lev(pattern,
-    text[:j]) when ``anchored``, else min over starts s of lev(pattern, text[s:j]).
+    Python ints with one bit per text position. The distance at end j is
+    lev(pattern, text[:j]) when ``anchored``, else min over starts s of
+    lev(pattern, text[s:j]). Ends come in increasing order.
     """
     n = len(text)
-    if not n:
-        return []
     ones = (1 << n) - 1
-    # bit j of masks[ch] is set where text[j] == ch: the reversed text as binary digits
+    # bit j of masks[ch] is set where text[j] == ch: the reversed text as binary
+    # digits, translated through a byte table when the text is ASCII
     backwards = text[::-1]
-    chars = set(text)
-    digits = dict.fromkeys(map(ord, chars), "0")
+    if text.isascii():
+        backwards, digits, zero, one = backwards.encode(), bytearray(b"0" * 256), 48, 49
+    else:
+        digits, zero, one = dict.fromkeys(map(ord, set(text)), "0"), "0", "1"
     masks: dict[str, int] = {}
-    for ch in chars.intersection(pattern):
-        digits[ord(ch)] = "1"
-        masks[ch] = int(backwards.translate(digits), 2)
-        digits[ord(ch)] = "0"
+    for ch in set(pattern):
+        if ch in text:
+            digits[ord(ch)] = one
+            masks[ch] = int(backwards.translate(digits), 2)
+            digits[ord(ch)] = zero
     # pv and mv mark a row's +1 and -1 steps along the text. Row 0 is j when
     # anchored, else 0; column 0 is i, so each new row carries +1 in at bit 0.
     pv, mv = ones if anchored else 0, 0
@@ -239,14 +243,21 @@ def _myers_distances(pattern: str, text: str, anchored: bool) -> list[int]:
         eq = masks.get(ch, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
-        mh = pv & xh
-        ph = (ph << 1) | 1
-        pv = ((mh << 1) | ~(xv | ph)) & ones
+        ph = ((mv | (ones ^ (xh | pv))) << 1) | 1
+        pv = (((pv & xh) << 1) | (ones ^ (xv | ph))) & ones
         mv = ph & xv
-    # the last row is m plus the prefix sums of its steps (b"1" - b"0" == 1)
-    plus, minus = (format(v, f"0{n}b")[::-1].encode() for v in (pv, mv))
-    return list(accumulate(map(sub, plus, minus), initial=len(pattern)))[1:]
+    # The last row is m plus the prefix sums of its steps (b"1" - b"0" == 1). A
+    # block of 64 ends falls at most its count of -1 steps below its start d, so
+    # a block that cannot reach k is skipped unread.
+    found, d = [], len(pattern)
+    for lo in range(0, n, 64):
+        up, down = (pv >> lo) & _BLOCK, (mv >> lo) & _BLOCK
+        if d - down.bit_count() <= k:
+            plus, minus = (format(v, f"0{min(64, n - lo)}b")[::-1].encode() for v in (up, down))
+            found += [(j, d + s) for j, s in enumerate(accumulate(map(sub, plus, minus)), lo + 1)
+                      if s <= k - d]
+        d += up.bit_count() - down.bit_count()
+    return found
 
 
 def repair_span(claimed: str, doc_text: str, max_norm_dist: float = 0.2) -> TextSpan | None:
@@ -266,19 +277,22 @@ def repair_span(claimed: str, doc_text: str, max_norm_dist: float = 0.2) -> Text
     the best distance ending at each position, and only ends within the
     largest allowed distance get a second, anchored pass of the reversed
     claim over the reversed window before them, which gives the distance
-    from every start. Each pass steps once per claim character, so a miss
-    (no such end) costs O(m * ceil(n / w)) big-int operations plus one O(n)
-    pass for an n-char note, an m-char claim and w-bit machine words.
+    from every start. Each pass steps once per claim character and reads out
+    only the 64-end blocks that can hold an end within its bound, so a miss
+    (no such end) costs O(m * ceil(n / w)) big-int operations plus O(n / 64)
+    block reads for an n-char note, an m-char claim and w-bit machine words.
     """
     if not claimed:
         return None
 
     norm_claimed = _normalize(claimed)
+    words = norm_claimed.split()
     doc_fold = doc_text.casefold()
     # Each window normalizes to a substring of this, as str.split and the regex
-    # \S agree on whitespace and casefold neither creates nor changes any.
-    if norm_claimed and norm_claimed in " ".join(doc_fold.split()):
-        k = len(norm_claimed.split())
+    # \S agree on whitespace and casefold neither creates nor changes any. A
+    # word holds no whitespace, so it lies inside one token of doc_fold.
+    if words and all(w in doc_fold for w in words) and norm_claimed in " ".join(doc_fold.split()):
+        k = len(words)
         tokens = [(m.start(), m.end()) for m in re.finditer(r"\S+", doc_text)]
         for i in range(len(tokens) - k + 1):
             s, e = tokens[i][0], tokens[i + k - 1][1]
@@ -310,8 +324,7 @@ def repair_span(claimed: str, doc_text: str, max_norm_dist: float = 0.2) -> Text
     # monotone in length, so the largest bound is at one end of [L, max_len].
     k_max = max(int(max_norm_dist * L), int(max_norm_dist * max_len))
     # The best distance ending at j bounds every candidate ending there from below.
-    distances = _myers_distances(c, doc_fold, False)
-    ends = sorted((d, j) for j, d in enumerate(distances, 1) if d <= k_max)
+    ends = sorted((d, j) for j, d in _myers_distances(c, doc_fold, False, k_max))
     best = k_max
     ties: list[tuple[int, int]] = []  # (start, length) at distance best
     aligned = len(doc_text)  # smallest start of a tie at best aligned at both edges
@@ -321,7 +334,7 @@ def repair_span(claimed: str, doc_text: str, max_norm_dist: float = 0.2) -> Text
         if d_end > best or (d_end == best and j - max_len > aligned):
             break
         window = doc_fold[max(0, j - max_len) : j][::-1]
-        for length, d in enumerate(_myers_distances(c[::-1], window, True), 1):
+        for length, d in _myers_distances(c[::-1], window, True, best):
             if length < min_len or d > best or d > int(max_norm_dist * max(length, L)):
                 continue
             if d < best:

@@ -277,6 +277,9 @@ def test_repair_result_text_matches_document(schema):
         # one "ß" or "ﬁ" elsewhere in the note leaves the rest of it matched casefolded
         *[("SMOKES CIGARETES", f"Social history: he smokes cigarettes daily and drinks beer.{tail}",
            TextSpan(19, 36, "smokes cigarettes")) for tail in ("", " Straße", " ofﬁce")],
+        # every claim word is a note token but the phrase is not in the note:
+        # stage 1 finds nothing and stage 2 repairs it
+        ("daily smokes", "He smokes daily, smokes at night.", TextSpan(10, 23, "daily, smokes")),
     ],
 )
 def test_repair_contract_edges(claimed, doc, expected):
@@ -331,22 +334,39 @@ def test_repair_prune_skips_only_losing_ends(claimed, doc, max_norm_dist, expect
     assert repair_span_reference(claimed, doc, max_norm_dist) == expected
 
 
+@st.composite
+def _myers_inputs(draw):
+    # texts past 128 chars cross several 64-end blocks of the read-out
+    pattern = draw(st.text(alphabet="abcß İ\u00a0", max_size=80))
+    text = draw(st.text(alphabet="abcß İ\u00a0", max_size=300))
+    return pattern, text, draw(st.booleans()), draw(st.integers(0, len(pattern) + 1))
+
+
 @settings(max_examples=500, deadline=None)
-@given(
-    st.text(alphabet="abcß İ\u00a0", max_size=80),
-    st.text(alphabet="abcß İ\u00a0", max_size=100),
-    st.booleans(),
-)
-@example("", "", False)
-@example("abc", "", True)
-@example("abcdef", "abc", False)
-@example("abcdef", "abc", True)
-@example("ab" * 40, "ba" * 45, False)
-@example("ab" * 40, "ba" * 45, True)
-def test_myers_distances_match_plain_dp(pattern, text, anchored):
-    assert linearizer._myers_distances(pattern, text, anchored) == edit_distances_reference(
-        pattern, text, anchored
-    )
+@given(_myers_inputs())
+@example(("", "", False, 1))
+@example(("abc", "", True, 4))
+@example(("abcdef", "abc", False, 7))
+@example(("abcdef", "abc", True, 7))
+@example(("ab" * 40, "ba" * 45, False, 81))
+@example(("ab" * 40, "ba" * 45, True, 81))
+# n = 63, 64, 65, 128, 129: an end at distance exactly k on bit 62, 63 and 64
+@example(("abc", "x" * 60 + "abd", False, 1))
+@example(("abc", "x" * 61 + "abc", False, 0))
+@example(("ab" * 32, "ab" * 32, True, 0))
+@example(("abc", "x" * 62 + "abc", False, 0))
+@example(("ab" * 32 + "a", "ab" * 32 + "a", True, 0))
+@example(("abc", "abcx" * 32, False, 4))
+@example(("abc", "x" * 126 + "abc", False, 0))
+# the first block falls from 70 to exactly 6, one -1 step per end: it is read
+# at k = 6 (its last end, bit 63, is at k) and skipped at k = 5
+@example(("a" * 70, "a" * 129, True, 6))
+@example(("a" * 70, "a" * 129, True, 5))
+def test_myers_distances_match_plain_dp(inputs):
+    pattern, text, anchored, k = inputs
+    row = edit_distances_reference(pattern, text, anchored)
+    expected = [(j, d) for j, d in enumerate(row, 1) if d <= k]
+    assert linearizer._myers_distances(pattern, text, anchored, k) == expected
 
 
 def test_stage_one_prefilter_unicode_facts():
@@ -375,6 +395,19 @@ _REPAIR_ALPHABET = "abAB .,-ßİ\u00a0\t\n"
     st.sampled_from([0.0, 0.2, 0.4]),
 )
 def test_repair_matches_reference(claimed, doc, max_norm_dist):
+    assert repair_span(claimed, doc, max_norm_dist) == repair_span_reference(
+        claimed, doc, max_norm_dist
+    )
+
+
+@pytest.mark.parametrize("max_norm_dist", [0.0, 0.2, 0.4])
+@settings(max_examples=200, deadline=None)
+@given(
+    st.text(alphabet=_REPAIR_ALPHABET, max_size=10),
+    st.text(alphabet=_REPAIR_ALPHABET, min_size=60, max_size=200),
+)
+def test_repair_matches_reference_on_notes_across_blocks(max_norm_dist, claimed, doc):
+    # notes of 60-200 chars make the read-out cross 64-end blocks
     assert repair_span(claimed, doc, max_norm_dist) == repair_span_reference(
         claimed, doc, max_norm_dist
     )
