@@ -223,19 +223,15 @@ def _myers_distances(pattern: str, text: str, anchored: bool, k: int) -> list[tu
     """
     n = len(text)
     ones = (1 << n) - 1
-    # bit j of masks[ch] is set where text[j] == ch: the reversed text as binary
-    # digits, translated through a byte table when the text is ASCII
+    # bit j of masks[ch] is set where text[j] == ch: the reversed text as binary digits
     backwards = text[::-1]
-    if text.isascii():
-        backwards, digits, zero, one = backwards.encode(), bytearray(b"0" * 256), 48, 49
-    else:
-        digits, zero, one = dict.fromkeys(map(ord, set(text)), "0"), "0", "1"
+    chars = set(text)
+    digits = dict.fromkeys(map(ord, chars), "0")
     masks: dict[str, int] = {}
-    for ch in set(pattern):
-        if ch in text:
-            digits[ord(ch)] = one
-            masks[ch] = int(backwards.translate(digits), 2)
-            digits[ord(ch)] = zero
+    for ch in chars.intersection(pattern):
+        digits[ord(ch)] = "1"
+        masks[ch] = int(backwards.translate(digits), 2)
+        digits[ord(ch)] = "0"
     # pv and mv mark a row's +1 and -1 steps along the text. Row 0 is j when
     # anchored, else 0; column 0 is i, so each new row carries +1 in at bit 0.
     pv, mv = ones if anchored else 0, 0
@@ -277,10 +273,12 @@ def repair_span(claimed: str, doc_text: str, max_norm_dist: float = 0.2) -> Text
     the best distance ending at each position, and only ends within the
     largest allowed distance get a second, anchored pass of the reversed
     claim over the reversed window before them, which gives the distance
-    from every start. Each pass steps once per claim character and reads out
-    only the 64-end blocks that can hold an end within its bound, so a miss
-    (no such end) costs O(m * ceil(n / w)) big-int operations plus O(n / 64)
-    block reads for an n-char note, an m-char claim and w-bit machine words.
+    from every start. Each pass steps once per claim character, which costs
+    O(m * ceil(n / w)) big-int operations for an n-char note, an m-char claim
+    and w-bit machine words. The last row is then read 64 ends at a time, and
+    a block whose -1 steps cannot bring it within the bound is skipped unread.
+    A row that dips often can still have every block read, so the read-out
+    stays O(n) in the worst case.
     """
     if not claimed:
         return None
