@@ -53,7 +53,7 @@ from .qa import (
     run_pipeline,
 )
 from .schema import default_schema, load_schema
-from .scoring import compute_iaa, render_table, score_corpus
+from .scoring import LEVELS, compute_iaa, render_table, score_corpus
 from .synth import generate_fewshot_train, generate_synthetic
 
 
@@ -305,7 +305,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--schema")
-    p.add_argument("--level", choices=["trigger", "argument", "event", "all"], default="all")
+    p.add_argument("--level", choices=[*LEVELS, "all"], default="all")
     p.add_argument("--out", required=True, help="output prefix (.json and .txt are written)")
 
     p = add("iaa", cmd_iaa, "inter-annotator agreement between two annotation sets")
@@ -318,7 +318,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gold", required=True)
     p.add_argument("--pred-a", required=True)
     p.add_argument("--pred-b", required=True)
-    p.add_argument("--level", choices=["trigger", "argument", "event"], default="trigger")
+    p.add_argument("--level", choices=list(LEVELS), default="trigger")
     p.add_argument("--key", help="event type, or EventType.Argument at argument level")
     p.add_argument("--resamples", type=int, default=10000)
     p.add_argument("--seed", type=int, required=True)

@@ -38,6 +38,8 @@ _CLAUSE_RE = re.compile(r"(?P<name>\S+) = (?P<subtype>.+) \[(?P<trig>[^\[\]]*)\]
 
 _STRIP_CHARS = string.punctuation + string.whitespace
 _BLOCK = (1 << 64) - 1
+# a word start: [^\W_] is exactly str.isalnum(), not preceded by another such char
+_WORD_START = re.compile(r"(?<![^\W_])[^\W_]")
 
 
 class SerializeError(ValueError):
@@ -262,23 +264,27 @@ def repair_span(claimed: str, doc_text: str, max_norm_dist: float = 0.2) -> Text
     Stage 1 looks for a normalization-equivalent match (casefolded,
     whitespace collapsed, edge punctuation stripped) over word-aligned
     windows. Stage 2 considers every substring within +/-50% of the claimed
-    length L and takes the minimum-Levenshtein candidate (casefolded
-    comparison) whose distance d satisfies
-    ``d <= int(max_norm_dist * max(length, L))``. Annotated spans start and
-    end on word characters, so distance ties prefer candidates whose edges
-    do not split or pad a word, then the smallest start offset, then the
-    length closest to the claimed text, then the shorter one.
+    length L whose casefolded Levenshtein distance d satisfies
+    ``d <= int(max_norm_dist * max(length, L))``, and takes the one with the
+    least key ``(d, -alignment, start, |length - L|, length)``. Annotated
+    spans start and end on word characters, so alignment counts the edges
+    that do not split or pad a word: a word start at start, a word end at
+    start + length.
 
     Stage 2 is bit-parallel: one Myers pass of the claim over the note gives
-    the best distance ending at each position, and only ends within the
-    largest allowed distance get a second, anchored pass of the reversed
-    claim over the reversed window before them, which gives the distance
-    from every start. Each pass steps once per claim character, which costs
-    O(m * ceil(n / w)) big-int operations for an n-char note, an m-char claim
-    and w-bit machine words. The last row is then read 64 ends at a time, and
-    a block whose -1 steps cannot bring it within the bound is skipped unread.
-    A row that dips often can still have every block read, so the read-out
-    stays O(n) in the worst case.
+    the best distance d_end ending at each position j, and the ends within
+    the largest allowed distance, in (d_end, j) order, get a second, anchored
+    pass of the reversed claim over the reversed window before them, which
+    gives the distance from every start. Each pass steps once per claim
+    character: O(m * ceil(n / w)) big-int operations for an n-char note, an
+    m-char claim and w-bit machine words. The last row is read 64 ends at a
+    time, and a block whose -1 steps cannot bring it within the bound is
+    skipped unread; a row that dips often can still have every block read,
+    so the read-out stays O(n) in the worst case. The visit stops at the
+    first d_end above the best key's distance. It skips an end at that
+    distance whose candidates all start past the best's and cannot beat its
+    alignment. That bound is loose: where word starts lie in every window but
+    no tie uses one, each tying end still gets its own anchored pass.
     """
     if not claimed:
         return None
@@ -312,38 +318,27 @@ def repair_span(claimed: str, doc_text: str, max_norm_dist: float = 0.2) -> Text
         doc_fold, c = ("".join(ch.casefold() if len(ch.casefold()) == 1 else ch for ch in t)
                        for t in (doc_text, claimed))
 
-    def word_aligned(start: int, length: int) -> int:
-        end = start + length
-        left = doc_text[start].isalnum() and (start == 0 or not doc_text[start - 1].isalnum())
-        right = doc_text[end - 1].isalnum() and (end == len(doc_text) or not doc_text[end].isalnum())
-        return int(left) + int(right)
-
     # A candidate of each length may have distance int(max_norm_dist * max(length, L)),
     # monotone in length, so the largest bound is at one end of [L, max_len].
     k_max = max(int(max_norm_dist * L), int(max_norm_dist * max_len))
     # The best distance ending at j bounds every candidate ending there from below.
     ends = sorted((d, j) for j, d in _myers_distances(c, doc_fold, False, k_max))
-    best = k_max
-    ties: list[tuple[int, int]] = []  # (start, length) at distance best
-    aligned = len(doc_text)  # smallest start of a tie at best aligned at both edges
+    best: tuple[int, ...] = (k_max + 1,)  # the least key so far
     for d_end, j in ends:
-        # At d_end == best no later end can beat best, and every candidate
-        # ending at j starts at j - max_len or later, after an aligned tie.
-        if d_end > best or (d_end == best and j - max_len > aligned):
+        if d_end > best[0]:
             break
-        window = doc_fold[max(0, j - max_len) : j][::-1]
-        for length, d in _myers_distances(c[::-1], window, True, best):
-            if length < min_len or d > best or d > int(max_norm_dist * max(length, L)):
-                continue
-            if d < best:
-                best, ties, aligned = d, [], len(doc_text)
-            ties.append((j - length, length))
-            if word_aligned(j - length, length) == 2:
-                aligned = min(aligned, j - length)
-    if not ties:
+        lo = max(0, j - max_len)  # every candidate ending at j starts in [lo, j - min_len]
+        right = doc_text[j - 1].isalnum() and (j == len(doc_text) or not doc_text[j].isalnum())
+        # a tie starting past best's wins only by alignment: right plus a word start
+        if d_end == best[0] and lo > best[2] and -best[1] >= right + (
+            _WORD_START.search(doc_text, lo, j - min_len + 1) is not None
+        ):
+            continue
+        for length, d in _myers_distances(c[::-1], doc_fold[lo:j][::-1], True, best[0]):
+            if length >= min_len and d <= int(max_norm_dist * max(length, L)):
+                left = _WORD_START.match(doc_text, j - length) is not None
+                best = min(best, (d, -(left + right), j - length, abs(length - L), length))
+    if len(best) == 1:
         return None
-
-    start, length = min(
-        ties, key=lambda t: (-word_aligned(*t), t[0], abs(t[1] - L), t[1])
-    )
+    start, length = best[2], best[4]
     return TextSpan(start, start + length, doc_text[start : start + length])

@@ -306,8 +306,8 @@ def test_repair_long_claim_and_long_miss():
     [(4200, 280, 278), (8400, 560, 558)],
 )
 def test_repair_periodic_note_is_fast(note_len, claim_len, expected_end):
-    # every end of a periodic note ties within k_max; once an aligned tie is
-    # found, the ends past it are skipped
+    # every end of a periodic note ties within k_max; once a tie aligned at
+    # both edges is best, no end whose candidates all start past it can win
     note = "smokes daily. " * (note_len // 14)
     claim = ("smokes daily. " * (claim_len // 14))[:-3] + "zzq"
     assert (len(note), len(claim)) == (note_len, claim_len)
@@ -315,6 +315,20 @@ def test_repair_periodic_note_is_fast(note_len, claim_len, expected_end):
     span = repair_span(claim, note)
     assert time.perf_counter() - t0 < 1.0
     assert span == TextSpan(0, expected_end, note[:expected_end])
+
+
+@pytest.mark.parametrize(
+    "claim_units, note_units",
+    [(300, 4000), (31, 4000), (127, 8000)],
+)
+def test_repair_note_without_word_boundary_is_fast(claim_units, note_units):
+    # "ab" repeated has one word start, at 0, so the best tie starts there and
+    # every end whose candidates all start past it is skipped
+    note, claim = "ab" * note_units, "ab" * claim_units + "z"
+    t0 = time.perf_counter()
+    span = repair_span(claim, note)
+    assert time.perf_counter() - t0 < 1.0
+    assert span == TextSpan(0, len(claim), note[: len(claim)])
 
 
 @pytest.mark.parametrize(
@@ -327,6 +341,13 @@ def test_repair_periodic_note_is_fast(note_len, claim_len, expected_end):
         ("ecegefdac", "ecxxbgaebfdac  xxx yy yxx y yecyxagefadac yx xyyyxyy", 0.4,
          TextSpan(29, 41, "ecyxagefadac")),
         ("a aba a", " a a  b bab a  babbaa", 0.4, TextSpan(12, 20, "a  babba")),
+        # The answer starts far past the first tie and wins only by its word
+        # start: a bound without the word-start term returns TextSpan(2, 18).
+        ("ab-a-ab-a-ab-a-a", "a-" + "ab-a-" * 12 + "a", 0.2,
+         TextSpan(47, 63, "ab-a-ab-a-ab-a-a")),
+        # The answer starts at exactly j - min_len: a word-start search that
+        # stops one character short returns TextSpan(1, 2).
+        ("x", "_xx" * 22 + "_x", 0.2, TextSpan(67, 68, "x")),
     ],
 )
 def test_repair_prune_skips_only_losing_ends(claimed, doc, max_norm_dist, expected):
@@ -371,13 +392,16 @@ def test_myers_distances_match_plain_dp(inputs):
 
 def test_stage_one_prefilter_unicode_facts():
     # repair_span skips the word-window loop unless the claim occurs in the
-    # whole note's normalization; that is exact only while these hold for
-    # every code point in this interpreter's Unicode database
-    not_space = re.compile(r"\S")
+    # whole note's normalization, and finds word starts with a regex; both are
+    # exact only while these hold for every code point in this interpreter's
+    # Unicode database
+    not_space, word_char = re.compile(r"\S"), re.compile(r"[^\W_]")
     for cp in range(sys.maxunicode + 1):
         ch = chr(cp)
         is_space = not ch.split()
         assert is_space == (not_space.match(ch) is None), hex(cp)
+        # the word-start pattern of span repair: [^\W_] is str.isalnum()
+        assert ch.isalnum() == (word_char.match(ch) is not None), hex(cp)
         folded = ch.casefold()
         if is_space:
             assert folded == ch, hex(cp)
@@ -408,6 +432,27 @@ def test_repair_matches_reference(claimed, doc, max_norm_dist):
 )
 def test_repair_matches_reference_on_notes_across_blocks(max_norm_dist, claimed, doc):
     # notes of 60-200 chars make the read-out cross 64-end blocks
+    assert repair_span(claimed, doc, max_norm_dist) == repair_span_reference(
+        claimed, doc, max_norm_dist
+    )
+
+
+@st.composite
+def _periodic_repairs(draw):
+    # many ends of a periodic note tie, which is what the prune skips
+    unit = draw(st.text(alphabet=_REPAIR_ALPHABET, min_size=1, max_size=5))
+    n, start = draw(st.integers(60, 200)), draw(st.integers(0, len(unit) - 1))
+    claim = (unit * 31)[start : start + draw(st.integers(0, 30))]
+    extra = draw(st.text(alphabet="zq", max_size=2))
+    cut = draw(st.integers(0, len(extra)))
+    return extra[:cut] + claim + extra[cut:], (unit * n)[:n]
+
+
+@pytest.mark.parametrize("max_norm_dist", [0.0, 0.2, 0.4])
+@settings(max_examples=200, deadline=None)
+@given(_periodic_repairs())
+def test_repair_matches_reference_on_periodic_notes(max_norm_dist, inputs):
+    claimed, doc = inputs
     assert repair_span(claimed, doc, max_norm_dist) == repair_span_reference(
         claimed, doc, max_norm_dist
     )
