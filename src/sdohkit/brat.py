@@ -4,10 +4,10 @@ Only the three line kinds this annotation scheme produces are honored:
 text-bound trigger spans (T), event lines binding a label to a trigger (E),
 and attributes carrying argument subtypes (A). Note (#) and normalization
 (N) lines are skipped silently; relation (R) lines and anything else are
-structural errors, as are dangling references and wrong field counts.
-Recoverable data problems (bad spans, surface-text drift, schema
-violations, discontinuous spans) become warnings instead and never abort a
-parse.
+structural errors, as are ids repeated within a file, dangling references
+and wrong field counts. Recoverable data problems (bad spans, surface-text
+drift, schema violations, discontinuous spans) become warnings instead and
+never abort a parse.
 """
 
 from __future__ import annotations
@@ -41,11 +41,12 @@ def parse_ann(
     breaks to spaces, as ``write_ann`` does) are repaired to the document
     substring and warned about; schema violations are warned but kept.
     """
-    tb: dict[str, tuple[str, int, int, str, int]] = {}  # id -> (label, start, end, text, line)
+    # id -> (label, start, end, text, line), or None for a dropped discontinuous span
+    tb: dict[str, tuple[str, int, int, str, int] | None] = {}
     ev_lines: dict[str, tuple[str, str, int]] = {}  # eid -> (label, tref, line)
-    attrs: list[tuple[str, str, str, str, int]] = []  # (aid, name, eref, value, line)
+    attrs: dict[str, tuple[str, str, str, int]] = {}  # aid -> (name, eref, value, line)
+    by_id = {"T": tb, "E": ev_lines, "A": attrs}  # a line kind's ids start with its letter
     warnings: list[str] = []
-    dropped_tb: set[str] = set()
 
     for lineno, line in enumerate(ann_text.splitlines(), start=1):
         if not line.strip():
@@ -61,11 +62,13 @@ def parse_ann(
         n_fields, what = _FIELDS[kind]
         if len(fields) != n_fields:
             raise AnnFormatError(f"line {lineno}: {what} line needs {n_fields} tab fields")
+        if fields[0] in by_id[kind]:
+            raise AnnFormatError(f"line {lineno}: duplicate id {fields[0]}")
         if kind == "T":
             tid, type_span, text = fields
             if ";" in type_span:
                 warnings.append(f"line {lineno}: discontinuous span dropped ({tid})")
-                dropped_tb.add(tid)
+                tb[tid] = None
                 continue
             parts = type_span.split(" ")
             if len(parts) != 3:
@@ -75,8 +78,6 @@ def parse_ann(
                 start, end = int(s), int(e)
             except ValueError:
                 raise AnnFormatError(f"line {lineno}: non-integer offsets") from None
-            if tid in tb:
-                raise AnnFormatError(f"line {lineno}: duplicate id {tid}")
             tb[tid] = (label, start, end, text, lineno)
         elif kind == "E":
             eid, binding = fields
@@ -85,8 +86,6 @@ def parse_ann(
             if ":" not in binding:
                 raise AnnFormatError(f"line {lineno}: event line needs 'Label:Tref'")
             label, tref = binding.split(":", 1)
-            if eid in ev_lines:
-                raise AnnFormatError(f"line {lineno}: duplicate id {eid}")
             ev_lines[eid] = (label, tref, lineno)
         else:
             aid, rest = fields
@@ -94,17 +93,17 @@ def parse_ann(
             if len(parts) != 3:
                 raise AnnFormatError(f"line {lineno}: expected 'Name Eref Value'")
             name, eref, value = parts
-            attrs.append((aid, name, eref, value, lineno))
+            attrs[aid] = (name, eref, value, lineno)
 
     events: list[Event] = []
     by_eid: dict[str, Event] = {}
     seen_keys: set[tuple[str, int, int]] = set()
     for eid, (label, tref, lineno) in ev_lines.items():
-        if tref in dropped_tb:
-            warnings.append(f"line {lineno}: {eid} references dropped span {tref}")
-            continue
         if tref not in tb:
             raise AnnFormatError(f"line {lineno}: {eid} references missing {tref}")
+        if tb[tref] is None:
+            warnings.append(f"line {lineno}: {eid} references dropped span {tref}")
+            continue
         t_label, start, end, text, t_line = tb[tref]
         if t_label != label:
             warnings.append(f"line {lineno}: {eid} label {label!r} differs from {tref} label {t_label!r}")
@@ -125,7 +124,7 @@ def parse_ann(
         events.append(ev)
         by_eid[eid] = ev
 
-    for aid, name, eref, value, lineno in attrs:
+    for aid, (name, eref, value, lineno) in attrs.items():
         if eref not in by_eid:
             if eref in ev_lines:
                 # attribute on an event that was dropped above

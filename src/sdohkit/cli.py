@@ -129,7 +129,7 @@ def cmd_significance(args) -> None:
     pred_a = read_corpus_jsonl(args.pred_a)
     pred_b = read_corpus_jsonl(args.pred_b)
     result = bootstrap_test(
-        gold, pred_a, pred_b, level=args.level, key=args.key or None,
+        gold, pred_a, pred_b, level=args.level, key=args.key,
         n_resamples=args.resamples, seed=args.seed,
     )
     _write_json(result.to_obj(), args.out)

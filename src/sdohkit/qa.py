@@ -348,24 +348,19 @@ def sample_fewshot(pool: FewShotPool, target, seed) -> list[FewShotExample]:
         answer = ev.arguments[arg_name] if want_argument else "none"
         return FewShotExample(doc.document.text, answer, ev.trigger)
 
-    if kind == "required-arg":
-        if len(positives) < 3:
-            raise FewShotError(
-                f"class positive has {len(positives)} documents for {event_type}.{arg_name}, need 3"
-            )
-        chosen = rng.sample(positives, 3)
-        return [pick_example(item, True) for item in chosen]
-
-    if not negatives:  # an optional argument's class, so never None here
-        raise FewShotError(f"class negative empty for {event_type}.{arg_name}")
-    neg = rng.choice(negatives)
-    pos_pool = [item for item in positives if item[0].doc_id != neg[0].doc_id]
-    if len(pos_pool) < 2:
+    negative = []  # an optional argument's negative note, drawn first and then no positive
+    if negatives is not None:
+        if not negatives:
+            raise FewShotError(f"class negative empty for {event_type}.{arg_name}")
+        negative = [rng.choice(negatives)]
+        positives = [item for item in positives if item[0].doc_id != negative[0][0].doc_id]
+    need = 3 - len(negative)
+    if len(positives) < need:
         raise FewShotError(
-            f"class positive has {len(pos_pool)} documents for {event_type}.{arg_name}, need 2"
+            f"class positive has {len(positives)} documents for {event_type}.{arg_name}, need {need}"
         )
-    pos = rng.sample(pos_pool, 2)
-    return [pick_example(pos[0], True), pick_example(pos[1], True), pick_example(neg, False)]
+    examples = [pick_example(item, True) for item in rng.sample(positives, need)]
+    return examples + [pick_example(item, False) for item in negative]
 
 
 # --- guide files ---------------------------------------------------------------

@@ -64,15 +64,9 @@ def precision_recall_f1(tp, fp, fn):
     return p, r, 2 * p * r / (p + r + (p + r == 0))
 
 
-@dataclass(frozen=True)
-class TriggerMatch:
-    gold_index: int
-    pred_index: int
-    overlap_len: int
-
-
-def match_triggers(gold: list[Event], pred: list[Event]) -> list[TriggerMatch]:
-    """One-to-one greedy matching of equivalent triggers within a document."""
+def match_triggers(gold: list[Event], pred: list[Event]) -> dict[int, int]:
+    """One-to-one greedy matching of equivalent triggers within a document,
+    as {gold index: pred index} in matching order."""
     # (-overlap, gold start, pred start, gold end, pred end, gi, pi): sorts into processing order
     candidates = []
     for gi, g in enumerate(gold):
@@ -85,15 +79,12 @@ def match_triggers(gold: list[Event], pred: list[Event]) -> list[TriggerMatch]:
             if ov >= 1:
                 candidates.append((-ov, gt.start, pt.start, gt.end, pt.end, gi, pi))
     candidates.sort()
-    matched_gold: set[int] = set()
+    matches: dict[int, int] = {}
     matched_pred: set[int] = set()
-    matches = []
-    for neg_ov, _, _, _, _, gi, pi in candidates:
-        if gi in matched_gold or pi in matched_pred:
-            continue
-        matched_gold.add(gi)
-        matched_pred.add(pi)
-        matches.append(TriggerMatch(gi, pi, -neg_ov))
+    for _, _, _, _, _, gi, pi in candidates:
+        if gi not in matches and pi not in matched_pred:
+            matches[gi] = pi
+            matched_pred.add(pi)
     return matches
 
 
@@ -107,13 +98,13 @@ _TP, _FP, _FN = range(3)
 def score_document(gold: list[Event], pred: list[Event]) -> DocCounts:
     """Counts at all three levels for one document."""
     matches = match_triggers(gold, pred)
-    gold_of = {m.pred_index: gold[m.gold_index] for m in matches}
-    pred_of = {m.gold_index: pred[m.pred_index] for m in matches}
+    gold_of = {pi: gold[gi] for gi, pi in matches.items()}
+    pred_of = {gi: pred[pi] for gi, pi in matches.items()}
     # key -> [tp, fp, fn] per level
     trigger, argument, event = (defaultdict(lambda: [0, 0, 0]) for _ in LEVELS)
 
-    for m in matches:
-        trigger[gold[m.gold_index].event_type][_TP] += 1
+    for gi in matches:
+        trigger[gold[gi].event_type][_TP] += 1
     for gi, g in enumerate(gold):
         if gi not in pred_of:
             trigger[g.event_type][_FN] += 1

@@ -3,9 +3,10 @@
 The matching oracle enumerates one-to-one matchings exhaustively, so it is
 only usable on small documents; the scorer must agree with it on randomly
 generated instances. The span-repair, edit-distance, bootstrap, F1,
-per-document scoring, standoff parsing and few-shot sampling references are the straightforward
-implementations the library's faster or shorter ones must match. ``loopback_endpoint`` is a chat endpoint on
-127.0.0.1 for tests of the real HTTP transport.
+trigger matching, per-document scoring, standoff parsing and few-shot
+sampling references are the straightforward implementations the library's
+faster or shorter ones must match. ``loopback_endpoint`` is a chat endpoint
+on 127.0.0.1 for tests of the real HTTP transport.
 """
 
 import contextlib
@@ -21,7 +22,7 @@ from sdohkit.brat import _FIELD_SAFE, AnnFormatError
 from sdohkit.corpus import AnnotatedDocument, Corpus, Document, Event, TextSpan
 from sdohkit.qa import FewShotError, FewShotExample
 from sdohkit.schema import Schema, validate_event
-from sdohkit.scoring import Counts, match_triggers, score_corpus
+from sdohkit.scoring import Counts, score_corpus
 
 
 def _enumerate_matchings(edges: list[list[int]], gi: int, used: int, size: int, arg_tp: int,
@@ -202,11 +203,11 @@ def parse_ann_reference(
     breaks to spaces, as ``write_ann`` does) are repaired to the document
     substring and warned about; schema violations are warned but kept.
     """
-    tb: dict[str, tuple[str, int, int, str, int]] = {}  # id -> (label, start, end, text, line)
+    # id -> (label, start, end, text, line), or None for a dropped discontinuous span
+    tb: dict[str, tuple[str, int, int, str, int] | None] = {}
     ev_lines: list[tuple[str, str, str, int]] = []  # (eid, label, tref, line)
-    attrs: list[tuple[str, str, str, str, int]] = []  # (aid, name, eref, value, line)
+    attrs: dict[str, tuple[str, str, str, int]] = {}  # aid -> (name, eref, value, line)
     warnings: list[str] = []
-    dropped_tb: set[str] = set()
 
     for lineno, line in enumerate(ann_text.splitlines(), start=1):
         if not line.strip():
@@ -221,9 +222,11 @@ def parse_ann_reference(
             if len(fields) != 3:
                 raise AnnFormatError(f"line {lineno}: text-bound line needs 3 tab fields")
             tid, type_span, text = fields
+            if tid in tb:
+                raise AnnFormatError(f"line {lineno}: duplicate id {tid}")
             if ";" in type_span:
                 warnings.append(f"line {lineno}: discontinuous span dropped ({tid})")
-                dropped_tb.add(tid)
+                tb[tid] = None
                 continue
             parts = type_span.split(" ")
             if len(parts) != 3:
@@ -233,30 +236,30 @@ def parse_ann_reference(
                 start, end = int(s), int(e)
             except ValueError:
                 raise AnnFormatError(f"line {lineno}: non-integer offsets") from None
-            if tid in tb:
-                raise AnnFormatError(f"line {lineno}: duplicate id {tid}")
             tb[tid] = (label, start, end, text, lineno)
         elif kind == "E":
             if len(fields) != 2:
                 raise AnnFormatError(f"line {lineno}: event line needs 2 tab fields")
             eid, binding = fields
+            if any(e[0] == eid for e in ev_lines):
+                raise AnnFormatError(f"line {lineno}: duplicate id {eid}")
             if " " in binding.strip():
                 raise AnnFormatError(f"line {lineno}: event arguments beyond the trigger are not supported")
             if ":" not in binding:
                 raise AnnFormatError(f"line {lineno}: event line needs 'Label:Tref'")
             label, tref = binding.split(":", 1)
-            if any(e[0] == eid for e in ev_lines):
-                raise AnnFormatError(f"line {lineno}: duplicate id {eid}")
             ev_lines.append((eid, label, tref, lineno))
         elif kind == "A":
             if len(fields) != 2:
                 raise AnnFormatError(f"line {lineno}: attribute line needs 2 tab fields")
             aid, rest = fields
+            if aid in attrs:
+                raise AnnFormatError(f"line {lineno}: duplicate id {aid}")
             parts = rest.split(" ", 2)
             if len(parts) != 3:
                 raise AnnFormatError(f"line {lineno}: expected 'Name Eref Value'")
             name, eref, value = parts
-            attrs.append((aid, name, eref, value, lineno))
+            attrs[aid] = (name, eref, value, lineno)
         else:
             raise AnnFormatError(f"line {lineno}: unrecognized annotation kind {kind!r}")
 
@@ -264,11 +267,11 @@ def parse_ann_reference(
     by_eid: dict[str, Event] = {}
     seen_keys: set[tuple[str, int, int]] = set()
     for eid, label, tref, lineno in ev_lines:
-        if tref in dropped_tb:
-            warnings.append(f"line {lineno}: {eid} references dropped span {tref}")
-            continue
         if tref not in tb:
             raise AnnFormatError(f"line {lineno}: {eid} references missing {tref}")
+        if tb[tref] is None:
+            warnings.append(f"line {lineno}: {eid} references dropped span {tref}")
+            continue
         t_label, start, end, text, t_line = tb[tref]
         if t_label != label:
             warnings.append(f"line {lineno}: {eid} label {label!r} differs from {tref} label {t_label!r}")
@@ -289,7 +292,7 @@ def parse_ann_reference(
         events.append(ev)
         by_eid[eid] = ev
 
-    for aid, name, eref, value, lineno in attrs:
+    for aid, (name, eref, value, lineno) in attrs.items():
         if eref not in by_eid:
             if any(e[0] == eref for e in ev_lines):
                 # attribute on an event that was dropped above
@@ -460,52 +463,65 @@ def _bump(table: dict, key, tp=0, fp=0, fn=0) -> None:
     table[key] = c + Counts(tp, fp, fn)
 
 
+def match_triggers_reference(gold: list[Event], pred: list[Event]) -> dict[int, int]:
+    """``scoring.match_triggers`` by the all-pairs loop: every same-type pair
+    that shares a character, sorted by (overlap desc, gold start, pred start,
+    gold end, pred end, gold index, pred index), taken greedily."""
+    pairs = []
+    for gi, g in enumerate(gold):
+        for pi, p in enumerate(pred):
+            ov = min(g.trigger.end, p.trigger.end) - max(g.trigger.start, p.trigger.start)
+            if g.event_type == p.event_type and ov >= 1:
+                pairs.append((-ov, g.trigger.start, p.trigger.start, g.trigger.end, p.trigger.end,
+                              gi, pi))
+    matches: dict[int, int] = {}
+    for *_, gi, pi in sorted(pairs):
+        if gi not in matches and pi not in matches.values():
+            matches[gi] = pi
+    return matches
+
+
 def score_document_reference(gold: list[Event], pred: list[Event]) -> dict:
     """``scoring.score_document`` computed the direct way: one loop per level
     and side, one ``Counts`` addition per increment. Keys enter each table in
     the order the library must keep: trigger level matched, unmatched gold,
     unmatched predictions; argument and event levels predictions, then gold."""
-    matches = match_triggers(gold, pred)
-    by_gold = {m.gold_index: m for m in matches}
-    by_pred = {m.pred_index: m for m in matches}
+    pred_of = match_triggers_reference(gold, pred)
+    gold_of = {pi: gi for gi, pi in pred_of.items()}
 
     trigger: dict[str, Counts] = {}
     argument: dict[tuple[str, str], Counts] = {}
     event: dict[str, Counts] = {}
 
-    for m in matches:
-        _bump(trigger, gold[m.gold_index].event_type, tp=1)
+    for gi in pred_of:
+        _bump(trigger, gold[gi].event_type, tp=1)
     for gi, g in enumerate(gold):
-        if gi not in by_gold:
+        if gi not in pred_of:
             _bump(trigger, g.event_type, fn=1)
     for pi, p in enumerate(pred):
-        if pi not in by_pred:
+        if pi not in gold_of:
             _bump(trigger, p.event_type, fp=1)
 
     for pi, p in enumerate(pred):
-        m = by_pred.get(pi)
-        g = gold[m.gold_index] if m else None
+        g = gold[gold_of[pi]] if pi in gold_of else None
         for name, subtype in p.arguments.items():
             if g is not None and g.arguments.get(name) == subtype:
                 _bump(argument, (p.event_type, name), tp=1)
             else:
                 _bump(argument, (p.event_type, name), fp=1)
     for gi, g in enumerate(gold):
-        m = by_gold.get(gi)
-        p = pred[m.pred_index] if m else None
+        p = pred[pred_of[gi]] if gi in pred_of else None
         for name, subtype in g.arguments.items():
             if p is None or p.arguments.get(name) != subtype:
                 _bump(argument, (g.event_type, name), fn=1)
 
     for pi, p in enumerate(pred):
-        m = by_pred.get(pi)
-        if m is not None and gold[m.gold_index].arguments == p.arguments:
+        if pi in gold_of and gold[gold_of[pi]].arguments == p.arguments:
             _bump(event, p.event_type, tp=1)
         else:
             _bump(event, p.event_type, fp=1)
     for gi, g in enumerate(gold):
-        m = by_gold.get(gi)
-        if m is None or pred[m.pred_index].arguments != g.arguments:
+        if gi not in pred_of or pred[pred_of[gi]].arguments != g.arguments:
             _bump(event, g.event_type, fn=1)
 
     return {"trigger": trigger, "argument": argument, "event": event}

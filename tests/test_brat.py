@@ -115,6 +115,20 @@ def test_malformed_line_messages(ann, message):
         parse_ann(ann, DOC)
 
 
+@pytest.mark.parametrize("ann, message", [
+    # a discontinuous span's id is taken too, whichever of the two lines comes first
+    ("T1\tAlcohol 3;5 9\tdrinks\nT1\tAlcohol 3 9\tdrinks\nE1\tAlcohol:T1\n", "line 2: duplicate id T1"),
+    (_T1 + "T1\tAlcohol 3;5 9\tdrinks\n", "line 2: duplicate id T1"),
+    (_T1 + "T1\tAlcohol 3 x\tdrinks\n", "line 2: duplicate id T1"),
+    (_T1 + "E1\tLivingArrangement:T1\nA1\tStatus E1 current\nA1\tType E1 past\n",
+     "line 4: duplicate id A1"),
+    (_T1 + "E1\tLivingArrangement:T1\nE1\tLivingArrangement:T1\n", "line 3: duplicate id E1"),
+])
+def test_repeated_id_is_an_error(ann, message):
+    with pytest.raises(AnnFormatError, match=f"^{re.escape(message)}$"):
+        parse_ann(ann, DOC)
+
+
 def test_event_label_differing_from_its_trigger_warns():
     events, warnings = parse_ann(_T1 + "E1\tHousing:T1\n", DOC)
     assert events == [Event("Housing", TextSpan(11, 16, "lives"), {})]
@@ -298,6 +312,11 @@ _ANN_LINES = st.one_of(
         "{}{}\t{} {} {}\t{}".format,
         st.sampled_from("TEAX#R"), st.integers(0, 3), st.sampled_from(["Alcohol", "Drug", "Bad"]),
         st.integers(-2, 20), st.integers(-2, 20), st.text(max_size=8),
+    ),
+    st.builds(  # discontinuous spans, dropped with a warning
+        "T{}\t{} {} {};{} {}\t{}".format,
+        st.integers(0, 3), st.sampled_from(["Alcohol", "Drug"]), *[st.integers(0, 20)] * 4,
+        st.text(max_size=8),
     ),
     st.builds(
         "{}{}\t{}:T{}".format,

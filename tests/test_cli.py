@@ -164,6 +164,10 @@ def test_significance_on_an_empty_gold_corpus_exits_2(tmp_path, capsys):
         # outside the argument level a dotted key is one event type name
         ("trigger", "Alcohol.Status", "key 'Alcohol.Status' occurs in no gold or predicted event"),
         ("argument", "Alcohol", "key 'Alcohol' does not fit the argument level"),
+        # an empty key is a key, not the micro average
+        ("trigger", "", "key '' occurs in no gold or predicted event at the trigger level\n"),
+        ("argument", "", "key '' does not fit the argument level, which takes "
+                         "EventType.Argument\n"),
     ],
 )
 def test_significance_rejects_a_key_that_names_nothing(tmp_path, capsys, gold_path, level, key,

@@ -498,3 +498,15 @@ def test_loader_fuzz_arbitrary_text(text):
 @given(_records())
 def test_loader_fuzz_near_valid_records(records):
     _loads_or_corpus_error("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records))
+
+
+@pytest.mark.parametrize("events, message", [
+    ("{}", "'events' must be a list"),
+    ('[{"trigger": {"start": 0, "end": 1, "text": "x"}}]', "event 0: missing string 'type'"),
+    ('[{"type": "A", "trigger": {"start": 0, "end": 1, "text": "x"}, "args": {"S": 1}}]',
+     "event 0: args must map strings to strings"),
+])
+def test_malformed_events_name_their_line(events, message):
+    line = f'{{"doc_id": "d", "patient_id": "p", "text": "x", "events": {events}}}\n'
+    with pytest.raises(CorpusError, match=f"^{re.escape('c.jsonl line 1: ' + message)}$"):
+        corpus_from_jsonl(line, "c.jsonl")

@@ -18,7 +18,7 @@ from sdohkit.linearizer import (
     serialize_events,
 )
 from sdohkit.qa import RunMetrics
-from sdohkit.schema import load_schema
+from sdohkit.schema import ArgumentDef, EventTypeDef, Schema, load_schema
 from sdohkit.synth import generate_synthetic
 
 from helpers import edit_distances_reference, repair_span_reference
@@ -505,3 +505,12 @@ def test_invalid_rate_partitions():
 def test_invalid_rate_all_invalid():
     m = RunMetrics("event", 0, trigger_invalid={"format": 1})
     assert m.to_obj()["invalid_rates"]["trigger"]["rate"] == 1.0
+
+
+def test_serialize_refuses_a_subtype_holding_a_reserved_token():
+    # The schema admits the subtype; the output grammar cannot carry it.
+    schema = Schema("s", (EventTypeDef("Alcohol", (ArgumentDef("Status", True, ("a AND b",)),)),))
+    ev = Event("Alcohol", TextSpan(0, 6, "drinks"), {"Status": "a AND b"})
+    message = "doc: event 0 'Alcohol' [0,6): subtype 'a AND b' contains a reserved token"
+    with pytest.raises(SerializeError, match=f"^{re.escape(message)}$"):
+        serialize_events([ev], schema, "doc: ")

@@ -406,3 +406,11 @@ def test_http_client_thread_safety(monkeypatch):
 def test_completion_defaults():
     c = Completion("x")
     assert c.retries == 0 and c.latency_ms == 0.0
+
+
+def test_complete_checks_its_messages():
+    client = ScriptedMockClient(default="x")
+    with pytest.raises(ValueError, match="^messages must be non-empty$"):
+        client.complete([])
+    with pytest.raises(TypeError, match="^messages must be ChatMessage instances$"):
+        client.complete([("user", "x")])

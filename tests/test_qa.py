@@ -39,6 +39,7 @@ from sdohkit.qa import (
     parse_trigger_response,
     run_pipeline,
     sample_fewshot,
+    schema_inventory,
 )
 from sdohkit.schema import ArgumentDef, EventTypeDef, Schema, SchemaError
 from sdohkit.scoring import score_corpus
@@ -1081,3 +1082,71 @@ def test_pipeline_survives_any_script(schema, corpus, train, guide, oracle_promp
     for adoc in pred.docs:
         assert adoc.doc_id not in metrics.failures or adoc.events == []
     assert metrics.failures == [d for d in few.doc_ids() if d in metrics.failures]
+
+
+# --- error paths and edge answers --------------------------------------------------
+
+def test_inventory_lists_an_event_type_without_arguments():
+    schema = Schema("s", (
+        EventTypeDef("Housing", ()),
+        EventTypeDef("Alcohol", (ArgumentDef("Status", True, ("past", "current")),)),
+    ))
+    assert schema_inventory(schema) == "- Housing\n- Alcohol: Status (required: past, current)"
+
+
+def test_trigger_response_skips_empty_lines():
+    triggers, records, n_repaired = parse_trigger_response('drinks\n\n""\nwine', "he drinks wine")
+    assert triggers == [TextSpan(3, 9, "drinks"), TextSpan(10, 14, "wine")]
+    assert (records, n_repaired) == ([], 0)
+
+
+def test_argument_response_needs_options():
+    with pytest.raises(ValueError, match="^options must be non-empty$"):
+        parse_argument_response("past", [])
+
+
+def _oracle_doc(doc_id, text, events=()):
+    return AnnotatedDocument(Document(doc_id, "p", text), list(events))
+
+
+def test_oracle_refuses_a_repeated_note(schema):
+    corpus = Corpus([_oracle_doc("a", "he drinks"), _oracle_doc("b", "he drinks")])
+    with pytest.raises(ValueError, match="^duplicate document text for b$"):
+        GoldOracleClient(corpus, schema)
+
+
+def test_oracle_refuses_prompts_it_cannot_read(schema):
+    oracle = GoldOracleClient(Corpus([_oracle_doc("a", "he drinks")]), schema)
+    unknown = build_trigger_prompt("she smokes", "Alcohol").messages
+    with pytest.raises(TransportError, match="^oracle does not know this note$"):
+        oracle.complete(unknown)
+    with pytest.raises(TransportError, match="^prompt has no note marker$"):
+        oracle.complete([ChatMessage("user", "Event type: Alcohol")])
+    no_offsets = "Event type: Alcohol\nArgument: Status\nNote:\nhe drinks"
+    with pytest.raises(TransportError, match="^argument prompt has no trigger offsets$"):
+        oracle.complete([ChatMessage("user", no_offsets)])
+
+
+def test_oracle_answers_none_at_offsets_of_no_gold_event(schema):
+    ev = Event("Alcohol", TextSpan(3, 9, "drinks"), {"Status": "past"})
+    oracle = GoldOracleClient(Corpus([_oracle_doc("a", "he drinks", [ev])]), schema)
+    adef = schema.event_type("Alcohol").argument("Status")
+    hit = build_argument_prompt("he drinks", "Alcohol", ev.trigger, adef, schema)
+    miss = build_argument_prompt("he drinks", "Alcohol", TextSpan(0, 2, "he"), adef, schema)
+    assert oracle.complete(hit.messages).text == "past"
+    assert oracle.complete(miss.messages).text == "none"
+
+
+def test_unknown_strategies_are_errors(schema):
+    corpus = generate_synthetic(schema, 2, 1)
+    with pytest.raises(ValueError, match="^unknown strategy 'bogus'$"):
+        run_pipeline(corpus, schema, NonsenseClient(), "bogus", 1)
+    message = "unknown export strategy 'bogus' (expected 'event' or '2sqa')"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        export_finetune_pairs(corpus, schema, "bogus")
+
+
+def test_event_strategy_needs_a_train_document_with_events(schema):
+    corpus, train = generate_synthetic(schema, 2, 1), Corpus([_oracle_doc("t", "no events here")])
+    with pytest.raises(PromptError, match="^train corpus has no documents with events$"):
+        run_pipeline(corpus, schema, NonsenseClient(), "event", 1, train=train)

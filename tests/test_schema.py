@@ -266,3 +266,14 @@ def test_subtypes_must_be_distinct_answers(required, subtypes, message):
     else:
         with pytest.raises(SchemaError, match=message):
             ArgumentDef("Kind", required, subtypes)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: EventTypeDef(3, ()), "event type name must be a non-empty string, got 3"),
+    (lambda: ArgumentDef(None, True, ("x",)), "argument name must be a non-empty string, got None"),
+    (lambda: load_schema('{"version": "v", "event_types": [{"name": ""}]}'),
+     "event type name must be a non-empty string, got ''"),
+])
+def test_names_must_be_non_empty_strings(build, message):
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        build()

@@ -2,10 +2,16 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import as_pred_corpus, oracle_doc_tp, perturb_events, score_document_reference
+from helpers import (
+    as_pred_corpus,
+    match_triggers_reference,
+    oracle_doc_tp,
+    perturb_events,
+    score_document_reference,
+)
 from sdohkit.corpus import AnnotatedDocument, Corpus, Document, Event, TextSpan
 from sdohkit.scoring import (
     Counts,
@@ -60,29 +66,25 @@ def test_prf_hand_arithmetic():
 def test_match_overlapping_same_type():
     gold = [_ev("LivingArrangement", 10, 15)]
     pred = [_ev("LivingArrangement", 12, 20)]
-    matches = match_triggers(gold, pred)
-    assert len(matches) == 1
-    assert matches[0].overlap_len == 3
+    assert match_triggers(gold, pred) == {0: 0}
 
 
 def test_no_match_type_mismatch():
     gold = [_ev("LivingArrangement", 10, 15)]
     pred = [_ev("Employment", 10, 15)]
-    assert match_triggers(gold, pred) == []
+    assert match_triggers(gold, pred) == {}
 
 
 def test_touching_spans_do_not_overlap():
     gold = [_ev("Alcohol", 0, 5)]
     pred = [_ev("Alcohol", 5, 9)]
-    assert match_triggers(gold, pred) == []
+    assert match_triggers(gold, pred) == {}
 
 
 def test_greedy_prefers_larger_overlap():
     gold = [_ev("Alcohol", 10, 20)]
     pred = [_ev("Alcohol", 12, 17), _ev("Alcohol", 18, 22)]  # overlaps 5 and 2
-    matches = match_triggers(gold, pred)
-    assert len(matches) == 1
-    assert matches[0].pred_index == 0
+    assert match_triggers(gold, pred) == {0: 0}
     counts = score_document(gold, pred)["trigger"]["Alcohol"]
     assert (counts.tp, counts.fp, counts.fn) == (1, 1, 0)
 
@@ -90,7 +92,7 @@ def test_greedy_prefers_larger_overlap():
 def test_matching_is_one_to_one():
     gold = [_ev("Alcohol", 0, 10), _ev("Alcohol", 5, 15)]
     pred = [_ev("Alcohol", 0, 15)]
-    assert len(match_triggers(gold, pred)) == 1
+    assert match_triggers(gold, pred) == {0: 0}
 
 
 # --- corpus-level scoring ---------------------------------------------------------
@@ -258,8 +260,7 @@ def test_removing_fp_never_decreases_precision(schema):
         if not adoc.events:
             continue
         gold_events = gold_map[adoc.doc_id].events
-        matches = match_triggers(gold_events, adoc.events)
-        matched_pred = {m.pred_index for m in matches}
+        matched_pred = set(match_triggers(gold_events, adoc.events).values())
         unmatched = [i for i in range(len(adoc.events)) if i not in matched_pred]
         if not unmatched:
             continue
@@ -278,8 +279,7 @@ def test_adding_matching_pred_never_decreases_recall(schema):
     gold_map = corpus.doc_map
     for adoc in pred.docs:
         gold_events = gold_map[adoc.doc_id].events
-        matches = match_triggers(gold_events, adoc.events)
-        matched_gold = {m.gold_index for m in matches}
+        matched_gold = match_triggers(gold_events, adoc.events)
         unmatched = [i for i in range(len(gold_events)) if i not in matched_gold]
         if not unmatched:
             continue
@@ -340,6 +340,34 @@ def test_score_document_matches_reference(gold, pred):
         assert list(got[level].items()) == list(want[level].items())
 
 
+
+# Edges shared between draws, so that nested, equal and touching spans are
+# common; equal edges make an empty span and (0, 20) spans the whole note.
+_EDGE = st.one_of(st.sampled_from([0, 3, 5, 8, 12, 20]), st.integers(0, 20))
+
+
+@st.composite
+def _trigger_docs(draw):
+    types = ["A", "B", "C"][: draw(st.integers(1, 3))]
+    span = st.tuples(_EDGE, _EDGE).map(sorted)
+    event = st.builds(lambda t, span: _ev(t, *span), st.sampled_from(types), span)
+    events = st.lists(event, max_size=8)
+    return draw(events), draw(events)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trigger_docs())
+# Two types, so that equal-overlap pairs cross no pair of higher overlap: the
+# first case orders them by gold start before pred start, the second by gold
+# end before pred end.
+@example(([_ev("A", 0, 2), _ev("B", 5, 7)], [_ev("A", 1, 3), _ev("B", 0, 6)]))
+@example(([_ev("A", 0, 2), _ev("B", 0, 3)], [_ev("A", 0, 3), _ev("B", 0, 2)]))
+def test_match_triggers_matches_reference(docs):
+    gold, pred = docs
+    # item order too: score_document enters matched keys in matching order
+    want = match_triggers_reference(gold, pred)
+    assert list(match_triggers(gold, pred).items()) == list(want.items())
+
 # --- per-document counts -----------------------------------------------------------
 
 def test_per_document_counts_micro_sums(schema):
@@ -398,3 +426,11 @@ def test_f1_drop_fixtures():
     assert f1_drop(79.6, 71.6) == 8.0
     assert f1_drop(79.5, 70.4) == 9.1
     assert f1_drop(82.3, 54.0) == 28.3
+
+
+def test_an_unknown_level_is_an_error():
+    corpus = _corpus_of({"d": [_ev("Alcohol", 0, 3)]})
+    with pytest.raises(ScoringError, match="^unknown level 'Trigger'$"):
+        per_document_counts(corpus, corpus, "Trigger")
+    with pytest.raises(ScoringError, match="^unknown level 'Trigger'$"):
+        aggregate({"Trigger": {"Alcohol": Counts(1, 0, 0)}})

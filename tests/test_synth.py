@@ -1,6 +1,8 @@
 import itertools
 
+from sdohkit import synth
 from sdohkit.corpus import document_violations
+from sdohkit.schema import EventTypeDef, Schema
 from sdohkit.synth import PHRASE_BANK, generate_fewshot_train, generate_synthetic, phrases_for
 
 
@@ -78,3 +80,27 @@ def test_fewshot_train_covers_classes(schema):
                     if any(e.event_type == et.name and adef.name not in e.arguments for e in d.events)
                 ]
                 assert negatives
+
+
+def test_negative_document_count_is_an_error(schema):
+    with pytest.raises(ValueError, match="^n_docs must be >= 0$"):
+        generate_synthetic(schema, -1, 1)
+
+
+def test_a_phrase_inside_another_is_resampled(monkeypatch):
+    # "housing reported" is inside "unstable housing reported", so many
+    # assembled notes hold a phrase twice and are built again.
+    schema = Schema("s", (EventTypeDef("Housing", ()), EventTypeDef("UnstableHousing", ())))
+    assemble, outcomes = synth._assemble, []
+
+    def counted(rng, specs):
+        built = assemble(rng, specs)
+        outcomes.append(built is None)
+        return built
+
+    monkeypatch.setattr(synth, "_assemble", counted)
+    corpus = generate_synthetic(schema, 50, 1)
+    assert any(outcomes)
+    for adoc in corpus.docs:
+        for ev in adoc.events:
+            assert adoc.document.text.count(ev.trigger.text) == 1
