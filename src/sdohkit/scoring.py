@@ -88,8 +88,8 @@ def match_triggers(gold: list[Event], pred: list[Event]) -> dict[int, int]:
     return matches
 
 
-# Per-document counts, keyed per level: event type for trigger/event,
-# (event type, argument name) for argument.
+# Per-document counts by report key: event type for trigger/event, and for
+# argument "EventType.Argument", the key reports print and the bootstrap takes.
 DocCounts = dict  # level -> {key -> Counts}
 
 _TP, _FP, _FN = range(3)
@@ -114,14 +114,14 @@ def score_document(gold: list[Event], pred: list[Event]) -> DocCounts:
             trigger[p.event_type][_FP] += 1
         for name, subtype in p.arguments.items():
             agrees = g is not None and g.arguments.get(name) == subtype
-            argument[(p.event_type, name)][_TP if agrees else _FP] += 1
+            argument[f"{p.event_type}.{name}"][_TP if agrees else _FP] += 1
         exact = g is not None and g.arguments == p.arguments
         event[p.event_type][_TP if exact else _FP] += 1
     for gi, g in enumerate(gold):
         p = pred_of.get(gi)
         for name, subtype in g.arguments.items():
             if p is None or p.arguments.get(name) != subtype:
-                argument[(g.event_type, name)][_FN] += 1
+                argument[f"{g.event_type}.{name}"][_FN] += 1
         if p is None or p.arguments != g.arguments:
             event[g.event_type][_FN] += 1
 
@@ -133,8 +133,8 @@ def corpus_doc_counts(gold: Corpus, pred: Corpus) -> dict[str, DocCounts]:
     """Per-document counts over a whole corpus.
 
     Predictions may omit documents (their gold events all become FN), but a
-    predicted doc_id unknown to the gold corpus, or a doc_id repeated in
-    either corpus, is an error.
+    predicted doc_id unknown to gold or with other text than gold's, or a
+    doc_id repeated in either corpus, is an error.
     """
     gold_map = gold.doc_map
     pred_map = pred.doc_map
@@ -145,6 +145,9 @@ def corpus_doc_counts(gold: Corpus, pred: Corpus) -> dict[str, DocCounts]:
     unknown = sorted(set(pred_map) - set(gold_map))
     if unknown:
         raise ScoringError(f"predictions reference unknown documents: {', '.join(unknown)}")
+    differ = sorted(k for k, d in pred_map.items() if d.document.text != gold_map[k].document.text)
+    if differ:
+        raise ScoringError(f"predicted documents whose text differs from gold: {', '.join(differ)}")
     return {
         doc_id: score_document(gdoc.events, pred_map[doc_id].events if doc_id in pred_map else [])
         for doc_id, gdoc in gold_map.items()
@@ -165,15 +168,14 @@ def per_document_counts(
     """Counts per document at one level, pooled over keys (micro) or for one
     key; documents are returned in sorted doc_id order. Used by the bootstrap
     test so resampling can re-sum cached counts instead of re-matching.
-    ``key`` is a report key: an event type, or at the argument level
-    "EventType.Argument", split at its last '.' (argument names hold none)."""
+    ``key`` is a report key, looked up as it is: an event type, or at the
+    argument level "EventType.Argument", which must hold a '.'."""
     if level not in LEVELS:
         raise ScoringError(f"unknown level {level!r}")
     if key is not None and level == "argument":
         if "." not in key:
             raise ScoringError(f"key {key!r} does not fit the argument level, which takes "
                                "EventType.Argument")
-        key = tuple(key.rsplit(".", 1))
     per_doc = corpus_doc_counts(gold, pred)
     doc_ids = sorted(per_doc)
     rows = []
@@ -242,16 +244,13 @@ class ScoreReport:
         return obj
 
 
-def _key_str(key) -> str:
-    return f"{key[0]}.{key[1]}" if isinstance(key, tuple) else key
-
-
 def aggregate(counts_by_level: dict, schema: Schema | None = None) -> ScoreReport:
     """Fill per-key P/R/F1, report-group rows, and micro/macro aggregates.
 
-    ``counts_by_level`` maps level name to {key: Counts}. Macro averages
-    skip keys with zero gold and zero predicted support. Group rows pool the
-    counts of every key whose event type belongs to the group.
+    ``counts_by_level`` maps level name to {report key: Counts}; an argument
+    key's event type is the text before its last '.'. Macro averages skip keys
+    with zero gold and zero predicted support. Group rows pool the counts of
+    every key whose event type belongs to the group.
     """
     report = ScoreReport()
     for level, table in counts_by_level.items():
@@ -262,11 +261,11 @@ def aggregate(counts_by_level: dict, schema: Schema | None = None) -> ScoreRepor
         group_counts: dict[str, Counts] = {}
         for key, c in table.items():
             row = Row.from_counts(c)
-            report.per_key[(level, _key_str(key))] = row
+            report.per_key[(level, key)] = row
             micro_c = micro_c + c
             if c.support > 0:
                 supported_rows.append(row)
-            event_type = key[0] if isinstance(key, tuple) else key
+            event_type = key.rpartition(".")[0] if level == "argument" else key
             et = schema.event_type(event_type) if schema is not None else None
             group = et.report_group if et is not None else event_type
             group_counts[group] = group_counts.get(group, Counts()) + c

@@ -272,15 +272,15 @@ def bootstrap_test(
     """Paired document-level bootstrap of F1(A) - F1(B).
 
     ``key=None`` tests the micro average at the given level; otherwise the
-    one key, in the text form ``per_document_counts`` takes. A key that does
-    not fit the level, or that occurs in no gold or predicted event at that
-    level, raises ``ScoringError``: it would otherwise read as "no
-    difference".
+    one key, a report key exactly as ``score`` writes it, which nothing
+    splits. A key that does not fit the level, or that occurs in no gold or
+    predicted event at that level, raises ``ScoringError``: it would
+    otherwise read as "no difference".
     """
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ValueError("seed must be a non-negative integer")
-    if n_resamples < 1:
-        raise ValueError("n_resamples must be >= 1")
+    if isinstance(n_resamples, bool) or not isinstance(n_resamples, int) or n_resamples < 1:
+        raise ValueError("n_resamples must be an integer >= 1")
     doc_ids, rows_a = per_document_counts(gold, pred_a, level, key)
     _, rows_b = per_document_counts(gold, pred_b, level, key)
     n_docs = len(doc_ids)

@@ -129,6 +129,13 @@ def as_pred_corpus(gold: Corpus, pred_events: dict) -> Corpus:
     )
 
 
+def one_note_corpus(text: str, trigger: str) -> Corpus:
+    """Document "d1" of ``text`` with one Alcohol event on the first ``trigger``."""
+    start = text.index(trigger)
+    event = Event("Alcohol", TextSpan(start, start + len(trigger), trigger), {"Status": "current"})
+    return Corpus([AnnotatedDocument(Document("d1", "p", text), [event])])
+
+
 def bootstrap_reference(gold: Corpus, pred_a: Corpus, pred_b: Corpus,
                         level: str, n_resamples: int, seed: int) -> tuple[float, float]:
     """From-scratch paired bootstrap: every resample rebuilds the drawn corpus
@@ -490,7 +497,7 @@ def score_document_reference(gold: list[Event], pred: list[Event]) -> dict:
     gold_of = {pi: gi for gi, pi in pred_of.items()}
 
     trigger: dict[str, Counts] = {}
-    argument: dict[tuple[str, str], Counts] = {}
+    argument: dict[str, Counts] = {}
     event: dict[str, Counts] = {}
 
     for gi in pred_of:
@@ -506,14 +513,14 @@ def score_document_reference(gold: list[Event], pred: list[Event]) -> dict:
         g = gold[gold_of[pi]] if pi in gold_of else None
         for name, subtype in p.arguments.items():
             if g is not None and g.arguments.get(name) == subtype:
-                _bump(argument, (p.event_type, name), tp=1)
+                _bump(argument, f"{p.event_type}.{name}", tp=1)
             else:
-                _bump(argument, (p.event_type, name), fp=1)
+                _bump(argument, f"{p.event_type}.{name}", fp=1)
     for gi, g in enumerate(gold):
         p = pred[pred_of[gi]] if gi in pred_of else None
         for name, subtype in g.arguments.items():
             if p is None or p.arguments.get(name) != subtype:
-                _bump(argument, (g.event_type, name), fn=1)
+                _bump(argument, f"{g.event_type}.{name}", fn=1)
 
     for pi, p in enumerate(pred):
         if pi in gold_of and gold[gold_of[pi]].arguments == p.arguments:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import loopback_endpoint
+from helpers import loopback_endpoint, one_note_corpus
 from sdohkit import cli, qa
 from sdohkit.brat import export_brat_dir, import_brat_dir
 from sdohkit.cli import main
@@ -1072,6 +1072,22 @@ def test_a_command_that_fails_writes_no_manifest(tmp_path):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         assert main(paths) == 2
     assert "unknown documents: stray" in err.getvalue()
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [
+    "score --gold {d}/gold.jsonl --pred {d}/pred.jsonl --out {d}/out/report",
+    "iaa --ann-a {d}/gold.jsonl --ann-b {d}/pred.jsonl --out {d}/out/iaa",
+    "significance --gold {d}/gold.jsonl --pred-a {d}/pred.jsonl --pred-b {d}/gold.jsonl --seed 1 "
+    "--out {d}/out/sig",
+], ids=["score", "iaa", "significance"])
+def test_a_prediction_on_other_text_exits_2_and_writes_nothing(tmp_path, capsys, command):
+    write_corpus_jsonl(one_note_corpus("he drinks wine", "drinks"), tmp_path / "gold.jsonl")
+    write_corpus_jsonl(one_note_corpus("he smokes wine", "smokes"), tmp_path / "pred.jsonl")
+    (tmp_path / "out").mkdir()
+    code, _, err = _run(capsys, *command.format(d=tmp_path).split())
+    assert code == 2
+    assert "predicted documents whose text differs from gold: d1" in err
     assert list((tmp_path / "out").iterdir()) == []
 
 

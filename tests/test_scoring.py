@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import (
     as_pred_corpus,
     match_triggers_reference,
+    one_note_corpus,
     oracle_doc_tp,
     perturb_events,
     score_document_reference,
@@ -132,6 +133,14 @@ def test_unknown_pred_document_is_error(schema):
         corpus_doc_counts(corpus, stranger)
 
 
+def test_pred_on_other_text_is_an_error():
+    # both triggers at [3, 9) match their own note, so only the text check can refuse this
+    gold = one_note_corpus("he drinks wine", "drinks")
+    pred = one_note_corpus("he smokes wine", "smokes")
+    with pytest.raises(ScoringError, match="^predicted documents whose text differs from gold: d1$"):
+        corpus_doc_counts(gold, pred)
+
+
 @pytest.mark.parametrize("repeated_in", ["gold", "predictions"])
 def test_a_repeated_doc_id_is_an_error(schema, repeated_in):
     corpus = generate_synthetic(schema, 4, 1)
@@ -148,18 +157,18 @@ def test_argument_scoring_rules():
     pred_wrong = [_ev("LivingArrangement", 0, 5, Status="past", Type="family")]
 
     counts = score_document(gold, pred_match)["argument"]
-    assert counts[("LivingArrangement", "Status")] == Counts(1, 0, 0)
+    assert counts["LivingArrangement.Status"] == Counts(1, 0, 0)
 
     counts = score_document(gold, pred_wrong)["argument"]
-    assert counts[("LivingArrangement", "Status")] == Counts(0, 1, 1)
-    assert counts[("LivingArrangement", "Type")] == Counts(1, 0, 0)
+    assert counts["LivingArrangement.Status"] == Counts(0, 1, 1)
+    assert counts["LivingArrangement.Type"] == Counts(1, 0, 0)
 
 
 def test_arguments_on_unmatched_trigger_are_fp():
     pred = [_ev("Employment", 0, 5, Status="employed", Shift="night")]
     counts = score_document([], pred)["argument"]
-    assert counts[("Employment", "Status")] == Counts(0, 1, 0)
-    assert counts[("Employment", "Shift")] == Counts(0, 1, 0)
+    assert counts["Employment.Status"] == Counts(0, 1, 0)
+    assert counts["Employment.Shift"] == Counts(0, 1, 0)
 
 
 def test_arguments_of_unmatched_gold_are_fn():
@@ -303,7 +312,8 @@ def test_greedy_matches_oracle_on_small_docs(schema):
         counts = score_document(adoc.events, pred_events)
         want = oracle_doc_tp(adoc.events, pred_events)
         got_arg_by_type = {}
-        for (etype, _), c in counts["argument"].items():
+        for key, c in counts["argument"].items():
+            etype = key.rpartition(".")[0]
             got_arg_by_type[etype] = got_arg_by_type.get(etype, 0) + c.tp
         same = all(
             counts["trigger"].get(t, Counts()).tp == want["trigger"][t] for t in want["trigger"]

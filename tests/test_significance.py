@@ -1,4 +1,5 @@
 import random
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from helpers import as_pred_corpus, bootstrap_deltas_reference, perturb_events
 from helpers import precision_recall_f1_reference
 from sdohkit import significance
 from sdohkit.corpus import AnnotatedDocument, Corpus
-from sdohkit.scoring import ScoringError, per_document_counts, precision_recall_f1, score_corpus
+from sdohkit.schema import load_schema
+from sdohkit.scoring import Counts, ScoringError, per_document_counts, precision_recall_f1
+from sdohkit.scoring import score_corpus
 from sdohkit.significance import _CHUNK, _draws, _resample_deltas, bootstrap_test
 from sdohkit.synth import generate_synthetic
 
@@ -65,8 +68,9 @@ def test_p_always_positive(schema):
 
 def test_n_resamples_validated(schema):
     gold = generate_synthetic(schema, 5, 127)
-    with pytest.raises(ValueError):
-        bootstrap_test(gold, _perfect(gold), _perfect(gold), n_resamples=0, seed=0)
+    for n_resamples in (0, -1, True, False, 2.5, 10.0, "10", None):
+        with pytest.raises(ValueError, match="^n_resamples must be an integer >= 1$"):
+            bootstrap_test(gold, _perfect(gold), _perfect(gold), n_resamples=n_resamples, seed=0)
 
 
 def test_unknown_docs_rejected(schema):
@@ -149,6 +153,22 @@ def test_argument_key_text_is_the_pair_split_at_its_last_dot(schema):
     assert r.key == "LivingArrangement.Status"
     assert r.f1_a == report.per_key[("argument", "LivingArrangement.Status")].f1
     assert r.f1_a != report.micro["argument"].f1
+
+
+def test_every_reported_key_is_a_key_the_bootstrap_takes():
+    # a dotted event type: its argument keys hold two dots, its trigger key one
+    text = resources.files("sdohkit.data").joinpath("default_schema.json").read_text("utf-8")
+    schema = load_schema(text.replace('"FoodInsecurity"', '"Food.Insecurity"'))
+    gold = generate_synthetic(schema, 40, 113)
+    rng = random.Random(11)
+    pred = as_pred_corpus(gold, {d.doc_id: perturb_events(d, schema, rng) for d in gold.docs})
+    report = score_corpus(gold, pred)
+    assert {"Food.Insecurity", "Food.Insecurity.Status"} <= {key for _, key in report.per_key}
+    for (level, key), row in report.per_key.items():
+        _, rows = per_document_counts(gold, pred, level, key)
+        assert sum(rows, Counts()) == row.counts
+        # equal systems: delta 0, so no resample runs
+        assert bootstrap_test(gold, pred, pred, level, key, 10, 0).f1_a == row.f1
 
 
 def test_key_seen_only_in_predictions_is_tested(schema):
